@@ -85,20 +85,18 @@ std::vector<std::string> DatasetManager::ListNames() const {
   return names;
 }
 
-std::vector<DatasetBudgetSnapshot> DatasetManager::BudgetSnapshots() const {
-  // Pin the registrations under the registry lock, then snapshot each
-  // accountant outside it: Snapshot() takes the accountant's own lock,
-  // which concurrent Charge() calls also contend on, and we must not hold
-  // mu_ across that. Map order already gives name-sorted output.
+std::vector<std::shared_ptr<RegisteredDataset>> DatasetManager::Registrations()
+    const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::shared_ptr<RegisteredDataset>> pinned;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pinned.reserve(datasets_.size());
-    for (const auto& [unused, dataset] : datasets_) pinned.push_back(dataset);
-  }
+  pinned.reserve(datasets_.size());
+  for (const auto& [unused, dataset] : datasets_) pinned.push_back(dataset);
+  return pinned;  // map order is name order
+}
+
+std::vector<DatasetBudgetSnapshot> DatasetManager::BudgetSnapshots() const {
   std::vector<DatasetBudgetSnapshot> snapshots;
-  snapshots.reserve(pinned.size());
-  for (const auto& dataset : pinned) {
+  for (const auto& dataset : Registrations()) {
     snapshots.push_back(
         DatasetBudgetSnapshot{dataset->name(), dataset->accountant().Snapshot()});
   }
@@ -106,16 +104,8 @@ std::vector<DatasetBudgetSnapshot> DatasetManager::BudgetSnapshots() const {
 }
 
 std::vector<DatasetBudgetTotals> DatasetManager::BudgetTotalsSnapshot() const {
-  // Same two-phase locking discipline as BudgetSnapshots().
-  std::vector<std::shared_ptr<RegisteredDataset>> pinned;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pinned.reserve(datasets_.size());
-    for (const auto& [unused, dataset] : datasets_) pinned.push_back(dataset);
-  }
   std::vector<DatasetBudgetTotals> totals;
-  totals.reserve(pinned.size());
-  for (const auto& dataset : pinned) {
+  for (const auto& dataset : Registrations()) {
     totals.push_back(
         DatasetBudgetTotals{dataset->name(), dataset->accountant().Totals()});
   }

@@ -102,6 +102,11 @@ class DatasetManager {
   /// Names of all registered datasets, sorted.
   std::vector<std::string> ListNames() const;
 
+  /// Every registration, sorted by name, pinned under one registry lock.
+  /// Callers read the accountants afterwards, outside the registry lock
+  /// (an accountant's own lock is contended by concurrent Charge()s).
+  std::vector<std::shared_ptr<RegisteredDataset>> Registrations() const;
+
   /// Per-dataset ledger snapshots, sorted by dataset name. Each snapshot
   /// is internally consistent (one lock acquisition per accountant); the
   /// set of datasets is the registry's state at call time.

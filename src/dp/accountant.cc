@@ -61,6 +61,22 @@ std::vector<BudgetCharge> PrivacyAccountant::charges() const {
   return charges_;
 }
 
+BudgetTotals PrivacyAccountant::TotalsLocked() const {
+  BudgetTotals totals;
+  totals.total_epsilon = total_epsilon_;
+  totals.spent_epsilon = spent_epsilon_;
+  totals.num_charges = charges_.size();
+  return totals;
+}
+
+std::vector<BudgetCharge> PrivacyAccountant::ChargesSince(
+    std::size_t first) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (first >= charges_.size()) return {};
+  return {charges_.begin() + static_cast<std::ptrdiff_t>(first),
+          charges_.end()};
+}
+
 AccountantSnapshot PrivacyAccountant::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   AccountantSnapshot snapshot;
@@ -72,11 +88,17 @@ AccountantSnapshot PrivacyAccountant::Snapshot() const {
 
 BudgetTotals PrivacyAccountant::Totals() const {
   std::lock_guard<std::mutex> lock(mu_);
-  BudgetTotals totals;
-  totals.total_epsilon = total_epsilon_;
-  totals.spent_epsilon = spent_epsilon_;
-  totals.num_charges = charges_.size();
-  return totals;
+  return TotalsLocked();
+}
+
+RecentCharges PrivacyAccountant::Recent(std::size_t limit) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  RecentCharges recent;
+  recent.totals = TotalsLocked();
+  const std::size_t listed = std::min(limit, charges_.size());
+  recent.recent.assign(
+      charges_.end() - static_cast<std::ptrdiff_t>(listed), charges_.end());
+  return recent;
 }
 
 }  // namespace dp

@@ -58,6 +58,15 @@ struct BudgetTotals {
   }
 };
 
+/// The totals plus the newest charges, copied under one lock — the bounded
+/// view /budgetz publishes. `recent` holds the last min(limit,
+/// totals.num_charges) charges in charge order, so the first one listed is
+/// charge number totals.num_charges - recent.size() + 1.
+struct RecentCharges {
+  BudgetTotals totals;
+  std::vector<BudgetCharge> recent;
+};
+
 /// Thread-safe epsilon-DP budget ledger for one dataset.
 class PrivacyAccountant {
  public:
@@ -80,6 +89,10 @@ class PrivacyAccountant {
   /// Copy of the ledger, in charge order.
   std::vector<BudgetCharge> charges() const;
 
+  /// Copy of the charges after the first `first` ones, in charge order
+  /// (empty when there are no more) — what an append-only journal writes.
+  std::vector<BudgetCharge> ChargesSince(std::size_t first) const;
+
   /// Atomic copy of the whole ledger state (totals + history agree).
   AccountantSnapshot Snapshot() const;
 
@@ -87,7 +100,13 @@ class PrivacyAccountant {
   /// copy. Same consistency guarantee as Snapshot().
   BudgetTotals Totals() const;
 
+  /// Atomic copy of the totals and the newest `limit` charges. Same
+  /// consistency guarantee as Snapshot(), at a cost bounded by `limit`.
+  RecentCharges Recent(std::size_t limit) const;
+
  private:
+  BudgetTotals TotalsLocked() const;  // requires mu_
+
   mutable std::mutex mu_;
   double total_epsilon_;
   double spent_epsilon_ = 0.0;

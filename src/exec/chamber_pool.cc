@@ -450,7 +450,6 @@ Result<ChamberRun> ChamberPool::Execute(const std::string& program_token,
       }
     }
   }
-  stats_.shipped_bytes += frame_bytes;
   shipped_bytes_counter_->Increment(static_cast<double>(frame_bytes));
 
   // Read the response under the deadline (when shipping already failed we
@@ -502,6 +501,9 @@ Result<ChamberRun> ChamberPool::Execute(const std::string& program_token,
 
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Under mu_ like every stats_ field: Stats() copies them under it
+    // while other fan-out threads lease concurrently.
+    stats_.shipped_bytes += frame_bytes;
     --leased_count_;
     if (discard) {
       DiscardSlotLocked(static_cast<std::size_t>(slot),

@@ -105,6 +105,9 @@ GuptService::GuptService(ServiceOptions options, ProgramRegistry registry)
   // arming (once per process; a no-op for later instances and when the
   // variable is unset).
   failpoints::ArmFromEnvironment();
+  if (!options_.ledger_path.empty()) {
+    ledger_journal_ = std::make_unique<LedgerJournal>(options_.ledger_path);
+  }
   if (options_.chamber_pool_workers > 0) {
     // Forked HERE, before the admission pool, SVT registry, or the
     // introspection server create any thread: the pool's fork safety
@@ -771,24 +774,26 @@ std::string GuptService::BudgetzJson() const {
   std::ostringstream out;
   out << "{\"datasets\":[";
   bool first_dataset = true;
-  for (const DatasetBudgetSnapshot& snapshot : manager_.BudgetSnapshots()) {
+  for (const auto& dataset : manager_.Registrations()) {
     if (!first_dataset) out << ',';
     first_dataset = false;
-    const dp::AccountantSnapshot& budget = snapshot.budget;
+    const dp::RecentCharges ledger =
+        dataset->accountant().Recent(kBudgetzCharges);
+    const dp::BudgetTotals& totals = ledger.totals;
     const AmplificationStats amplification =
-        AmplificationTotals(snapshot.dataset);
-    out << "{\"dataset\":\"" << JsonEscape(snapshot.dataset) << "\""
-        << ",\"total_epsilon\":" << JsonDouble(budget.total_epsilon)
-        << ",\"spent_epsilon\":" << JsonDouble(budget.spent_epsilon)
-        << ",\"remaining_epsilon\":" << JsonDouble(budget.remaining_epsilon())
+        AmplificationTotals(dataset->name());
+    out << "{\"dataset\":\"" << JsonEscape(dataset->name()) << "\""
+        << ",\"total_epsilon\":" << JsonDouble(totals.total_epsilon)
+        << ",\"spent_epsilon\":" << JsonDouble(totals.spent_epsilon)
+        << ",\"remaining_epsilon\":" << JsonDouble(totals.remaining_epsilon())
         << ",\"amplification\":{\"queries\":" << amplification.queries
         << ",\"epsilon_raw\":" << JsonDouble(amplification.epsilon_raw)
         << ",\"epsilon_charged\":" << JsonDouble(amplification.epsilon_charged)
         << ",\"epsilon_saved\":" << JsonDouble(amplification.epsilon_saved())
         << '}'
-        << ",\"num_charges\":" << budget.charges.size() << ",\"charges\":[";
+        << ",\"num_charges\":" << totals.num_charges << ",\"charges\":[";
     bool first_charge = true;
-    for (const dp::BudgetCharge& charge : budget.charges) {
+    for (const dp::BudgetCharge& charge : ledger.recent) {
       if (!first_charge) out << ',';
       first_charge = false;
       out << "{\"label\":\"" << JsonEscape(charge.label)
@@ -801,27 +806,32 @@ std::string GuptService::BudgetzJson() const {
 }
 
 std::string GuptService::BudgetzText() const {
-  std::vector<DatasetBudgetSnapshot> snapshots = manager_.BudgetSnapshots();
+  const std::vector<std::shared_ptr<RegisteredDataset>> datasets =
+      manager_.Registrations();
   std::ostringstream out;
   out.precision(17);
-  out << "privacy-budget ledger: " << snapshots.size() << " dataset(s)\n";
-  for (const DatasetBudgetSnapshot& snapshot : snapshots) {
-    const dp::AccountantSnapshot& budget = snapshot.budget;
-    out << "\ndataset " << snapshot.dataset << "\n"
-        << "  epsilon total     " << budget.total_epsilon << "\n"
-        << "  epsilon spent     " << budget.spent_epsilon << "\n"
-        << "  epsilon remaining " << budget.remaining_epsilon() << "\n";
+  out << "privacy-budget ledger: " << datasets.size() << " dataset(s)\n";
+  for (const auto& dataset : datasets) {
+    const dp::RecentCharges ledger =
+        dataset->accountant().Recent(kBudgetzCharges);
+    const dp::BudgetTotals& totals = ledger.totals;
+    out << "\ndataset " << dataset->name() << "\n"
+        << "  epsilon total     " << totals.total_epsilon << "\n"
+        << "  epsilon spent     " << totals.spent_epsilon << "\n"
+        << "  epsilon remaining " << totals.remaining_epsilon() << "\n";
     const AmplificationStats amplification =
-        AmplificationTotals(snapshot.dataset);
+        AmplificationTotals(dataset->name());
     if (amplification.queries > 0) {
       out << "  amplified queries " << amplification.queries
           << " (epsilon raw " << amplification.epsilon_raw << ", charged "
           << amplification.epsilon_charged << ", saved "
           << amplification.epsilon_saved() << ")\n";
     }
-    out << "  charges (" << budget.charges.size() << "):\n";
-    std::size_t index = 0;
-    for (const dp::BudgetCharge& charge : budget.charges) {
+    out << "  charges (" << totals.num_charges << "):\n";
+    // Numbered by position in the whole ledger, newest last.
+    std::size_t index = totals.num_charges - ledger.recent.size();
+    if (index > 0) out << "    (" << index << " earlier charges not listed)\n";
+    for (const dp::BudgetCharge& charge : ledger.recent) {
       out << "    [" << ++index << "] epsilon=" << charge.epsilon << "  "
           << charge.label << "\n";
     }
@@ -866,10 +876,10 @@ GuptService::AmplificationStats GuptService::AmplificationTotals(
 }
 
 Status GuptService::RestoreLedger() {
-  if (options_.ledger_path.empty()) {
+  if (ledger_journal_ == nullptr) {
     return Status::InvalidArgument("service has no ledger_path configured");
   }
-  Status loaded = LoadBudgets(&manager_, options_.ledger_path);
+  Status loaded = ledger_journal_->Load(&manager_);
   if (loaded.code() == StatusCode::kNotFound) {
     return Status::OK();  // first boot: nothing to restore
   }
@@ -877,10 +887,10 @@ Status GuptService::RestoreLedger() {
 }
 
 Status GuptService::PersistLedger() const {
-  if (options_.ledger_path.empty()) {
+  if (ledger_journal_ == nullptr) {
     return Status::InvalidArgument("service has no ledger_path configured");
   }
-  return SaveBudgets(manager_, options_.ledger_path);
+  return ledger_journal_->Persist(manager_);
 }
 
 Result<QueryReport> GuptService::Execute(const QueryRequest& request) {
@@ -1080,9 +1090,6 @@ Result<QueryReport> GuptService::ProcessQuery(const QueryRequest& request) {
 
   Result<QueryReport> outcome =
       from_cache ? Result<QueryReport>(*cached) : Execute(request);
-  if (!from_cache && outcome.ok() && !cache_key.empty()) {
-    CacheInsert(cache_key, outcome.value());
-  }
 
   AuditRecord record;
   record.analyst = request.analyst.empty() ? "<anonymous>" : request.analyst;
@@ -1151,6 +1158,11 @@ Result<QueryReport> GuptService::ProcessQuery(const QueryRequest& request) {
       return Status::Internal("query released but ledger persist failed: " +
                               persisted.message());
     }
+  }
+  // Cached only once durable: until then a repeat must not be served free
+  // (its charge could still be lost to a crash) and must pay again.
+  if (!from_cache && outcome.ok() && !cache_key.empty()) {
+    CacheInsert(cache_key, outcome.value());
   }
   return outcome;
 }

@@ -44,10 +44,16 @@
 
 namespace gupt {
 
+class LedgerJournal;
+
 struct ServiceOptions {
   GuptOptions runtime;
-  /// When non-empty, the budget ledger is loaded from this path at startup
-  /// (if the file exists) and saved after every accepted query.
+  /// When non-empty, the durable budget ledger lives in this file
+  /// (data/budget_store.h): RestoreLedger() loads it, and every accepted
+  /// query and SVT open is answered only after PersistLedger() has made its
+  /// charge durable. The first persist rewrites the file as a snapshot
+  /// (tmp + fsync + rename); later ones append a checksummed record per
+  /// charge with one fdatasync.
   std::string ledger_path;
   /// Answer repeated *identical* queries from a cache at zero additional
   /// budget. Sound because datasets are immutable and re-releasing the
@@ -324,10 +330,15 @@ class GuptService {
     return slow_query_log_.get();
   }
 
-  /// Per-dataset budget ledgers, as served by /budgetz.
+  /// Per-dataset budget ledgers with every charge (a /budgetz scrape lists
+  /// only the newest kBudgetzCharges of them).
   std::vector<DatasetBudgetSnapshot> BudgetSnapshots() const {
     return manager_.BudgetSnapshots();
   }
+
+  /// Charges /budgetz lists per dataset: the most recent ones. Its totals
+  /// and num_charges always cover the whole ledger.
+  static constexpr std::size_t kBudgetzCharges = 1024;
 
   /// Running amplification aggregates for one dataset, as served inside
   /// /budgetz: how many queries were charged under amplification, the raw
@@ -354,8 +365,11 @@ class GuptService {
   /// construction, so a restarting operator calls this explicitly.
   Status RestoreLedger();
 
-  /// Persists the ledger now (also happens after every accepted query when
-  /// ledger_path is set).
+  /// Makes every charge made so far durable in ledger_path, appending only
+  /// the charges since the last persist (LedgerJournal::Persist). Runs after
+  /// every accepted query and SVT open; concurrent calls from admission
+  /// workers coalesce into one write and fdatasync. On error the charges
+  /// stay in memory and the next successful persist writes them.
   Status PersistLedger() const;
 
  private:
@@ -401,7 +415,8 @@ class GuptService {
                      double epsilon_charged, const Status& outcome);
 
   /// The synchronous body an admission worker runs: cache lookup, pipeline
-  /// execution, audit, ledger persist.
+  /// execution, audit, ledger persist, and — once the charge is durable —
+  /// cache insert.
   Result<QueryReport> ProcessQuery(const QueryRequest& request);
 
   /// Appends one audit record (assigning its id) under audit_mu_,
@@ -421,13 +436,17 @@ class GuptService {
   /// Cache lookup; refreshes the entry's LRU position on a hit.
   std::optional<QueryReport> CacheLookup(const std::string& key);
 
-  /// Inserts a release into the cache, evicting the least-recently-used
-  /// entry beyond the configured capacity.
+  /// Inserts a release whose charge is durable into the cache, evicting
+  /// the least-recently-used entry beyond the configured capacity.
   void CacheInsert(const std::string& key, const QueryReport& report);
 
   ServiceOptions options_;
   ProgramRegistry registry_;
   DatasetManager manager_;
+
+  /// The ledger file's writer (null when ledger_path is empty). Declared
+  /// before admission_pool_, whose draining workers persist through it.
+  std::unique_ptr<LedgerJournal> ledger_journal_;
 
   /// Pre-warmed chamber pool (null when chamber_pool_workers == 0).
   /// Declared before runtime_, which holds a non-owning pointer to it.

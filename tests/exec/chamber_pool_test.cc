@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -229,6 +230,41 @@ TEST(ChamberPoolTest, ConcurrentLeasesShareTwoWorkers) {
   EXPECT_EQ(stats.leases, 32u);
   EXPECT_EQ(stats.spawned, 2u);
   EXPECT_EQ(stats.respawns, 0u);
+}
+
+TEST(ChamberPoolTest, StatsStayExactWhileFanOutThreadsLease) {
+  // Every stats_ field is written under the pool lock, so Stats() can be
+  // read while fan-out threads lease, and no shipped byte is lost to a
+  // racing add (run under -DGUPT_SANITIZE=thread to see the race itself).
+  Dataset data = OneColumn({1, 2, 3, 4});
+  std::uint64_t frame_bytes = 0;
+  {
+    ChamberPool single(ChamberPolicy{}, 1);
+    single.SetProgramResolver(TestResolver());
+    ASSERT_TRUE(single.Start().ok());
+    ASSERT_TRUE(single.Execute("sum", data.view(), Row{0.0}).ok());
+    frame_bytes = single.Stats().shipped_bytes;
+  }
+  ChamberPool pool(ChamberPolicy{}, 2);
+  pool.SetProgramResolver(TestResolver());
+  ASSERT_TRUE(pool.Start().ok());
+  std::atomic<bool> leasing{true};
+  std::thread reader([&] {
+    while (leasing.load()) (void)pool.Stats();
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 8; ++i) {
+        (void)pool.Execute("sum", data.view(), Row{0.0});
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  leasing.store(false);
+  reader.join();
+  EXPECT_EQ(pool.Stats().leases, 32u);
+  EXPECT_EQ(pool.Stats().shipped_bytes, 32 * frame_bytes);
 }
 
 TEST(ChamberPoolTest, ShutdownIsIdempotentAndStopsLeasing) {

@@ -9,6 +9,7 @@
 
 #include "service/gupt_service.h"
 
+#include <cstdio>
 #include <future>
 #include <string>
 #include <thread>
@@ -266,6 +267,45 @@ TEST_F(FaultServiceTest, IntrospectAcceptFaultDropsConnectionsWhileArmed) {
       HttpGet("127.0.0.1", service->introspect_port(), "/healthz");
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_EQ(after.status, 200);
+}
+
+TEST_F(FaultServiceTest, FailedPersistIsNotCachedAndItsRepeatPays) {
+  // A release is cached only once its charge is durable: after a failed
+  // persist the identical repeat must execute and be charged again, not be
+  // handed the undurable answer for free.
+  const std::string ledger =
+      ::testing::TempDir() + "/fault_service_cache_ledger.txt";
+  std::remove(ledger.c_str());
+  ServiceOptions options;
+  options.enable_query_cache = true;
+  options.ledger_path = ledger;
+  auto service = MakeService(options, /*budget=*/5.0);
+
+  Config once;
+  once.max_fires = 1;
+  ScopedFailpoint fp("data.budget_store.save", once);
+  auto failed = service->SubmitQuery(MeanRequest(1.0));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("ledger persist failed"),
+            std::string::npos);
+  EXPECT_EQ(service->RemainingBudget("ages").value(), 4.0);
+
+  auto repeat = service->SubmitQuery(MeanRequest(1.0));
+  ASSERT_TRUE(repeat.ok()) << repeat.status();
+  EXPECT_EQ(service->RemainingBudget("ages").value(), 3.0);
+  const std::vector<AuditRecord> log = service->audit_log();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_FALSE(log[1].from_cache);
+  EXPECT_EQ(log[1].epsilon_charged, 1.0);
+  EXPECT_EQ(fp.fires(), 1u);
+
+  // Durable now, so the third identical query is served from the cache.
+  auto cached = service->SubmitQuery(MeanRequest(1.0));
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached->output, repeat->output);
+  EXPECT_EQ(service->RemainingBudget("ages").value(), 3.0);
+  EXPECT_TRUE(service->audit_log().back().from_cache);
+  std::remove(ledger.c_str());
 }
 
 }  // namespace

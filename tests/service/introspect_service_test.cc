@@ -6,6 +6,8 @@
 
 #include "service/gupt_service.h"
 
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <set>
 #include <sstream>
@@ -189,6 +191,63 @@ TEST(IntrospectServiceTest, BudgetzMatchesAccountantExactlyAfterAsyncBatch) {
   ASSERT_TRUE(table.ok) << table.error;
   EXPECT_NE(table.body.find("dataset ages"), std::string::npos);
   EXPECT_NE(table.body.find("epsilon remaining"), std::string::npos);
+}
+
+TEST(IntrospectServiceTest, BudgetzListsTheNewestChargesWithExactTotals) {
+  // 1,500 charges restored from a ledger file: /budgetz keeps num_charges
+  // and the totals exact but lists only the newest kBudgetzCharges = 1,024.
+  constexpr int kCharges = 1500;
+  static_assert(GuptService::kBudgetzCharges == 1024);
+  const std::string ledger =
+      ::testing::TempDir() + "/introspect_budgetz_window.ledger";
+  std::string text = "gupt-ledger v1\ndataset ages total 1000\n";
+  double spent = 0.0;
+  for (int k = 1; k <= kCharges; ++k) {
+    const double epsilon = 0.125 * (k % 4 + 1);  // dyadic: sums are exact
+    spent += epsilon;
+    std::ostringstream line;
+    line << "charge " << epsilon << " q" << k << "\n";
+    text += line.str();
+  }
+  {
+    std::ofstream out(ledger, std::ios::trunc);
+    out << text;
+  }
+  ServiceOptions options;
+  options.ledger_path = ledger;
+  auto service = MakeServingService(options, /*budget=*/1000.0);
+  ASSERT_TRUE(service->RestoreLedger().ok());
+
+  HttpGetResult scrape = HttpGet("127.0.0.1", service->introspect_port(),
+                                 "/budgetz?format=json");
+  ASSERT_TRUE(scrape.ok) << scrape.error;
+  JsonValue root;
+  ASSERT_TRUE(ParseJson(scrape.body, &root)) << scrape.body;
+  const JsonValue& entry = root.Find("datasets")->array.at(0);
+  EXPECT_EQ(entry.Find("num_charges")->number, kCharges);
+  EXPECT_EQ(entry.Find("spent_epsilon")->number, spent);
+  EXPECT_EQ(entry.Find("remaining_epsilon")->number, 1000.0 - spent);
+  const std::vector<JsonValue>& listed = entry.Find("charges")->array;
+  ASSERT_EQ(listed.size(), 1024u);
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    const int k = kCharges - 1024 + 1 + static_cast<int>(i);  // 477..1500
+    EXPECT_EQ(listed[i].Find("label")->string, "q" + std::to_string(k));
+    EXPECT_EQ(listed[i].Find("epsilon")->number, 0.125 * (k % 4 + 1));
+  }
+
+  HttpGetResult table =
+      HttpGet("127.0.0.1", service->introspect_port(), "/budgetz");
+  ASSERT_TRUE(table.ok) << table.error;
+  const std::size_t header = table.body.find("charges (1500):\n");
+  ASSERT_NE(header, std::string::npos) << table.body.substr(0, 400);
+  const std::size_t first = table.body.find("    [", header);
+  ASSERT_NE(first, std::string::npos);
+  EXPECT_EQ(table.body.compare(first, 10, "    [477] "), 0)
+      << table.body.substr(header, 200);
+  EXPECT_NE(table.body.find("  q477\n"), std::string::npos);
+  EXPECT_EQ(table.body.find("  q476\n"), std::string::npos);
+  EXPECT_NE(table.body.find("    [1500] "), std::string::npos);
+  std::remove(ledger.c_str());
 }
 
 TEST(IntrospectServiceTest, HealthzFlipsUnhealthyWhileAdmissionQueueIsFull) {

@@ -59,23 +59,33 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(mu_);
     assert(!shutting_down_);
     queue_.push_back({std::move(task), std::chrono::steady_clock::now()});
-    ++in_flight_;
     queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
   }
   work_available_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
 void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
+  // A per-call latch: this call waits for its own n tasks only, never for
+  // other callers' work on the shared pool. The last task notifies while
+  // holding the latch's mutex, so the latch, which lives on this frame,
+  // outlives that notify. Tasks capture only the latch's address and an
+  // index, small enough for std::function to store without allocating.
+  struct Latch {
+    const std::function<void(std::size_t)>& fn;
+    std::size_t remaining;
+    std::mutex mu;
+    std::condition_variable done;
+  } latch{fn, n, {}, {}};
   for (std::size_t i = 0; i < n; ++i) {
-    Submit([&fn, i] { fn(i); });
+    Submit([&latch, i] {
+      latch.fn(i);
+      std::lock_guard<std::mutex> lock(latch.mu);
+      if (--latch.remaining == 0) latch.done.notify_all();
+    });
   }
-  Wait();
+  std::unique_lock<std::mutex> lock(latch.mu);
+  latch.done.wait(lock, [&latch] { return latch.remaining == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -96,11 +106,6 @@ void ThreadPool::WorkerLoop() {
     task.fn();
     run_histogram_->Observe(Seconds(std::chrono::steady_clock::now() - started));
     tasks_counter_->Increment();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 

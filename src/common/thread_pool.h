@@ -35,9 +35,6 @@ class ThreadPool {
   /// Enqueues a task. Tasks must not throw.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished.
-  void Wait();
-
   std::size_t num_threads() const { return workers_.size(); }
 
   /// Stable, process-unique id of the calling pool worker (1-based; ids
@@ -47,8 +44,11 @@ class ThreadPool {
   /// per-block trace spans to the thread that ran them (obs::BlockSpan).
   static int CurrentWorkerId();
 
-  /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
-  /// The pool must be otherwise idle (Wait semantics are pool-wide).
+  /// Runs `fn(i)` for i in [0, n) across the pool and waits for those n
+  /// calls only, not for other work on the pool. May be called
+  /// concurrently from several threads, but not from a pool worker: the
+  /// caller blocks, and a worker blocked on its own fan-out holds a thread
+  /// the fan-out may need.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -61,9 +61,7 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable work_available_;
-  std::condition_variable all_done_;
   std::deque<QueuedTask> queue_;
-  std::size_t in_flight_ = 0;
   bool shutting_down_ = false;
   std::vector<std::thread> workers_;
 

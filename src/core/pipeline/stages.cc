@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,21 +22,38 @@
 namespace gupt {
 namespace {
 
-/// Per-stage duration histogram, labelled by stage name.
-obs::Histogram* StageHistogram(const char* stage) {
-  return obs::MetricsRegistry::Get().GetHistogram(
-      "gupt_runtime_stage_duration_seconds",
-      "Wall time of one GUPT pipeline stage (see docs/observability.md).",
-      obs::Histogram::DurationBuckets(), {{"stage", stage}});
-}
+/// A stage's wall-time and coordinator-thread CPU histograms, both
+/// labelled by stage name.
+struct StageHistograms {
+  obs::Histogram* wall;
+  obs::Histogram* cpu;
+};
 
-/// Per-stage coordinator-thread CPU histogram, labelled by stage name.
-obs::Histogram* StageCpuHistogram(const char* stage) {
-  return obs::MetricsRegistry::Get().GetHistogram(
-      "gupt_prof_stage_cpu_seconds",
-      "Coordinator-thread CPU time of one GUPT pipeline stage "
-      "(CLOCK_THREAD_CPUTIME_ID delta; see docs/observability.md).",
-      obs::Histogram::DurationBuckets(), {{"stage", stage}});
+/// Resolves `stage`'s histograms from the registry on the stage's first
+/// use, so each series still appears when its stage first runs, and from a
+/// small name-keyed map afterwards: a registry lookup takes the registry's
+/// global mutex and rebuilds the label set, once per StageScope otherwise.
+const StageHistograms& HistogramsFor(const char* stage) {
+  static std::mutex mu;
+  static auto* resolved = new std::map<std::string, StageHistograms,
+                                       std::less<>>();
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = resolved->find(std::string_view(stage));
+  if (it == resolved->end()) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+    StageHistograms histograms;
+    histograms.wall = registry.GetHistogram(
+        "gupt_runtime_stage_duration_seconds",
+        "Wall time of one GUPT pipeline stage (see docs/observability.md).",
+        obs::Histogram::DurationBuckets(), {{"stage", stage}});
+    histograms.cpu = registry.GetHistogram(
+        "gupt_prof_stage_cpu_seconds",
+        "Coordinator-thread CPU time of one GUPT pipeline stage "
+        "(CLOCK_THREAD_CPUTIME_ID delta; see docs/observability.md).",
+        obs::Histogram::DurationBuckets(), {{"stage", stage}});
+    it = resolved->emplace(stage, histograms).first;
+  }
+  return it->second;
 }
 
 Row RangeMidpoints(const std::vector<Range>& ranges) {
@@ -99,10 +120,10 @@ StageScope::~StageScope() {
     span.cpu_ns = cpu_ns >= 0 ? cpu_ns : -1;
     trace_->AddSpan(std::move(span));
   }
-  StageHistogram(stage_)->Observe(
-      std::chrono::duration<double>(elapsed).count());
-  StageCpuHistogram(stage_)->Observe(
-      cpu_ns >= 0 ? static_cast<double>(cpu_ns) / 1e9 : 0.0);
+  const StageHistograms& histograms = HistogramsFor(stage_);
+  histograms.wall->Observe(std::chrono::duration<double>(elapsed).count());
+  histograms.cpu->Observe(cpu_ns >= 0 ? static_cast<double>(cpu_ns) / 1e9
+                                      : 0.0);
 }
 
 double ModeMultiplier(RangeMode mode) {

@@ -3,11 +3,14 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <optional>
 #include <thread>
@@ -35,43 +38,82 @@ constexpr std::uint8_t kProgramError = 2;
 constexpr std::uint8_t kDimensionMismatch = 3;
 constexpr std::uint8_t kResolverError = 4;
 
-bool WriteFully(int fd, const void* data, std::size_t len) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    ssize_t n = ::write(fd, p, len);
+// Request header: cmd u8 | token_len u32 | num_dims u32 |
+// expected_dims u32 | num_rows u64, packed; the token and then num_dims
+// columns of num_rows f64 follow it in the same frame.
+constexpr std::size_t kRequestHeaderBytes = 1 + 4 + 4 + 4 + 8;
+// Response head: status u8 | violations u64 | cpu_user_ns i64 |
+// cpu_sys_ns i64 | max_rss_kb i64, then `n u64 | n x f64` when status is
+// kOk.
+constexpr std::size_t kResponseHeadBytes = 1 + 8 + 8 + 8 + 8;
+
+/// Copies `value`'s bytes, unpadded, to `out`; returns the end.
+template <typename T>
+char* Put(char* out, const T& value) {
+  std::memcpy(out, &value, sizeof(value));
+  return out + sizeof(value);
+}
+
+/// Reads a `T` from the unpadded bytes at `in`; returns the end.
+template <typename T>
+const char* Get(const char* in, T* value) {
+  std::memcpy(value, in, sizeof(*value));
+  return in + sizeof(*value);
+}
+
+/// Moves every byte of iov[0, count) through `io` (::readv or ::writev),
+/// resuming after a short transfer by advancing the array in place and
+/// retrying on EINTR. False on an error or EOF.
+bool TransferFully(ssize_t (*io)(int, const struct iovec*, int), int fd,
+                   struct iovec* iov, int count) {
+  for (;;) {
+    while (count > 0 && iov->iov_len == 0) {
+      ++iov;
+      --count;
+    }
+    if (count == 0) return true;
+    ssize_t n = io(fd, iov, std::min(count, IOV_MAX));
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    p += n;
-    len -= static_cast<std::size_t>(n);
+    if (n == 0) return false;  // EOF: the other end closed mid-frame
+    auto moved = static_cast<std::size_t>(n);
+    while (moved > 0) {
+      std::size_t step = std::min(moved, iov->iov_len);
+      iov->iov_base = static_cast<char*>(iov->iov_base) + step;
+      iov->iov_len -= step;
+      moved -= step;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --count;
+      }
+    }
   }
-  return true;
+}
+
+bool WriteFully(int fd, const void* data, std::size_t len) {
+  struct iovec iov = {const_cast<void*>(data), len};
+  return TransferFully(::writev, fd, &iov, 1);
 }
 
 /// Blocking exact read (worker side — workers have no deadline of their
 /// own; the parent enforces deadlines and kills overrunners).
 bool ReadFully(int fd, void* data, std::size_t len) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
-    ssize_t n = ::read(fd, p, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
+  struct iovec iov = {data, len};
+  return TransferFully(::readv, fd, &iov, 1);
 }
 
-/// Parent-side exact read honouring an absolute deadline (nullopt = none).
-bool ReadFullyWithDeadline(int fd, void* data, std::size_t len,
-                           const std::optional<Clock::time_point>& deadline,
-                           bool* timed_out) {
-  char* p = static_cast<char*>(data);
-  while (len > 0) {
+/// Parent-side read of a response frame under an absolute deadline
+/// (nullopt = none): reads into `frame` from `*got` on until at least
+/// `need` bytes are in, taking whatever more the worker already wrote up
+/// to frame->size(). The worker writes its frame at once, so one
+/// poll+read pair usually brings all of it.
+bool ReadAtLeastWithDeadline(int fd, std::vector<char>* frame,
+                             std::size_t need, std::size_t* got,
+                             const std::optional<Clock::time_point>& deadline,
+                             bool* timed_out) {
+  while (*got < need) {
     int wait_ms = -1;
     if (deadline) {
       auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -95,14 +137,13 @@ bool ReadFullyWithDeadline(int fd, void* data, std::size_t len,
       *timed_out = true;
       return false;
     }
-    ssize_t n = ::read(fd, p, len);
+    ssize_t n = ::read(fd, frame->data() + *got, frame->size() - *got);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     if (n == 0) return false;  // EOF: worker died mid-frame
-    p += n;
-    len -= static_cast<std::size_t>(n);
+    *got += static_cast<std::size_t>(n);
   }
   return true;
 }
@@ -157,27 +198,30 @@ void ChamberPool::SetProgramResolver(ProgramResolver resolver) {
     if (cmd == kCmdShutdown) ::_exit(0);
     if (cmd == kCmdCrash) ::_exit(9);
 
+    char header[kRequestHeaderBytes - sizeof(cmd)];
+    if (!ReadFully(request_fd, header, sizeof(header))) ::_exit(1);
     std::uint32_t token_len = 0;
     std::uint32_t num_dims = 0;
     std::uint32_t expected_dims = 0;
     std::uint64_t num_rows = 0;
-    if (!ReadFully(request_fd, &token_len, sizeof(token_len)) ||
-        !ReadFully(request_fd, &num_dims, sizeof(num_dims)) ||
-        !ReadFully(request_fd, &expected_dims, sizeof(expected_dims)) ||
-        !ReadFully(request_fd, &num_rows, sizeof(num_rows))) {
-      ::_exit(1);
-    }
+    const char* in = Get(header, &token_len);
+    in = Get(in, &num_dims);
+    in = Get(in, &expected_dims);
+    Get(in, &num_rows);
+    // The rest of the frame lands straight in the token and the block's
+    // column vectors.
     std::string token(token_len, '\0');
-    if (token_len > 0 && !ReadFully(request_fd, token.data(), token_len)) {
-      ::_exit(1);
-    }
     std::vector<std::vector<double>> columns(num_dims);
-    for (std::uint32_t d = 0; d < num_dims; ++d) {
-      columns[d].resize(num_rows);
-      if (!ReadFully(request_fd, columns[d].data(),
-                     num_rows * sizeof(double))) {
-        ::_exit(1);
-      }
+    std::vector<struct iovec> iov;
+    iov.reserve(1 + num_dims);
+    iov.push_back({token.data(), token_len});
+    for (std::vector<double>& column : columns) {
+      column.resize(num_rows);
+      iov.push_back({column.data(), num_rows * sizeof(double)});
+    }
+    if (!TransferFully(::readv, request_fd, iov.data(),
+                       static_cast<int>(iov.size()))) {
+      ::_exit(1);
     }
 
     struct rusage before;
@@ -229,17 +273,20 @@ void ChamberPool::SetProgramResolver(ProgramResolver resolver) {
         TimevalNs(after.ru_stime) - TimevalNs(before.ru_stime);
     std::int64_t max_rss_kb = static_cast<std::int64_t>(after.ru_maxrss);
 
-    bool ok = WriteFully(response_fd, &status, sizeof(status)) &&
-              WriteFully(response_fd, &violations, sizeof(violations)) &&
-              WriteFully(response_fd, &cpu_user_ns, sizeof(cpu_user_ns)) &&
-              WriteFully(response_fd, &cpu_sys_ns, sizeof(cpu_sys_ns)) &&
-              WriteFully(response_fd, &max_rss_kb, sizeof(max_rss_kb));
-    if (ok && status == kOk) {
-      auto n = static_cast<std::uint64_t>(output.size());
-      ok = WriteFully(response_fd, &n, sizeof(n)) &&
-           WriteFully(response_fd, output.data(), n * sizeof(double));
+    // The whole response goes out in one write.
+    const auto n = static_cast<std::uint64_t>(output.size());
+    std::vector<char> frame(kResponseHeadBytes +
+                            (status == kOk ? sizeof(n) + n * sizeof(double)
+                                           : 0));
+    char* out = Put(frame.data(), status);
+    out = Put(out, violations);
+    out = Put(out, cpu_user_ns);
+    out = Put(out, cpu_sys_ns);
+    out = Put(out, max_rss_kb);
+    if (status == kOk) {
+      std::memcpy(Put(out, n), output.data(), n * sizeof(double));
     }
-    if (!ok) ::_exit(1);
+    if (!WriteFully(response_fd, frame.data(), frame.size())) ::_exit(1);
   }
 }
 
@@ -423,68 +470,77 @@ Result<ChamberRun> ChamberPool::Execute(const std::string& program_token,
       std::chrono::duration<double>(Clock::now() - start).count());
   Worker& w = slots_[static_cast<std::size_t>(slot)];  // stable after Start
 
-  // Ship the request frame. A failed write means the worker is already
-  // dead (EPIPE); that is the same story as EOF below.
-  bool shipped = false;
-  std::uint64_t frame_bytes = 0;
-  {
-    std::uint8_t cmd = inject_crash ? kCmdCrash : kCmdRun;
-    shipped = WriteFully(w.to_child, &cmd, sizeof(cmd));
-    frame_bytes += sizeof(cmd);
-    if (shipped && !inject_crash) {
-      auto token_len = static_cast<std::uint32_t>(program_token.size());
-      auto num_dims = static_cast<std::uint32_t>(block.num_dims());
-      auto expected_dims = static_cast<std::uint32_t>(fallback.size());
-      auto num_rows = static_cast<std::uint64_t>(block.num_rows());
-      shipped = WriteFully(w.to_child, &token_len, sizeof(token_len)) &&
-                WriteFully(w.to_child, &num_dims, sizeof(num_dims)) &&
-                WriteFully(w.to_child, &expected_dims, sizeof(expected_dims)) &&
-                WriteFully(w.to_child, &num_rows, sizeof(num_rows)) &&
-                WriteFully(w.to_child, program_token.data(), token_len);
-      frame_bytes += sizeof(token_len) + sizeof(num_dims) +
-                     sizeof(expected_dims) + sizeof(num_rows) + token_len;
-      for (std::size_t d = 0; shipped && d < block.num_dims(); ++d) {
-        shipped = WriteFully(w.to_child, block.col(d),
-                             block.num_rows() * sizeof(double));
-        frame_bytes += block.num_rows() * sizeof(double);
-      }
+  // Ship the request as one frame and one writev: header, token and every
+  // column slice straight from the block's store, with no staging copy. A
+  // failed write means the worker is already dead (EPIPE); that is the
+  // same story as EOF below.
+  char header[kRequestHeaderBytes];
+  char* out = Put(header, inject_crash ? kCmdCrash : kCmdRun);
+  std::vector<struct iovec> request;
+  if (inject_crash) {
+    request.push_back({header, 1});  // a bare command byte
+  } else {
+    out = Put(out, static_cast<std::uint32_t>(program_token.size()));
+    out = Put(out, static_cast<std::uint32_t>(block.num_dims()));
+    out = Put(out, static_cast<std::uint32_t>(fallback.size()));
+    Put(out, static_cast<std::uint64_t>(block.num_rows()));
+    request.reserve(2 + block.num_dims());
+    request.push_back({header, sizeof(header)});
+    request.push_back({const_cast<char*>(program_token.data()),
+                       program_token.size()});
+    for (std::size_t d = 0; d < block.num_dims(); ++d) {
+      request.push_back({const_cast<double*>(block.col(d)),
+                         block.num_rows() * sizeof(double)});
     }
   }
+  std::uint64_t frame_bytes = 0;
+  for (const struct iovec& part : request) frame_bytes += part.iov_len;
+  const bool shipped = TransferFully(::writev, w.to_child, request.data(),
+                                     static_cast<int>(request.size()));
   shipped_bytes_counter_->Increment(static_cast<double>(frame_bytes));
 
   // Read the response under the deadline (when shipping already failed we
-  // skip straight to the crash handling below).
+  // skip straight to the crash handling below): the head first, then, for
+  // an ok status, the output of exactly the expected arity. Sized for the
+  // longest valid frame, so one read usually takes all of it.
   std::uint8_t status = 0;
   std::uint64_t violations = 0;
   std::int64_t cpu_user_ns = 0;
   std::int64_t cpu_sys_ns = 0;
   std::int64_t max_rss_kb = 0;
   bool timed_out = false;
-  bool frame_ok = shipped;
+  std::vector<char> response(kResponseHeadBytes + sizeof(std::uint64_t) +
+                             fallback.size() * sizeof(double));
+  std::size_t got = 0;
+  bool frame_ok =
+      shipped && ReadAtLeastWithDeadline(w.from_child, &response,
+                                         kResponseHeadBytes, &got, deadline,
+                                         &timed_out);
   Row output;
   if (frame_ok) {
-    frame_ok =
-        ReadFullyWithDeadline(w.from_child, &status, sizeof(status), deadline,
-                              &timed_out) &&
-        ReadFullyWithDeadline(w.from_child, &violations, sizeof(violations),
-                              deadline, &timed_out) &&
-        ReadFullyWithDeadline(w.from_child, &cpu_user_ns, sizeof(cpu_user_ns),
-                              deadline, &timed_out) &&
-        ReadFullyWithDeadline(w.from_child, &cpu_sys_ns, sizeof(cpu_sys_ns),
-                              deadline, &timed_out) &&
-        ReadFullyWithDeadline(w.from_child, &max_rss_kb, sizeof(max_rss_kb),
-                              deadline, &timed_out);
-  }
-  if (frame_ok && status == kOk) {
-    std::uint64_t n = 0;
-    frame_ok = ReadFullyWithDeadline(w.from_child, &n, sizeof(n), deadline,
-                                     &timed_out) &&
-               n == fallback.size();
-    if (frame_ok) {
-      output.resize(n);
-      frame_ok = ReadFullyWithDeadline(w.from_child, output.data(),
-                                       n * sizeof(double), deadline,
-                                       &timed_out);
+    const char* in = Get(response.data(), &status);
+    in = Get(in, &violations);
+    in = Get(in, &cpu_user_ns);
+    in = Get(in, &cpu_sys_ns);
+    in = Get(in, &max_rss_kb);
+    if (status != kOk) {
+      frame_ok = got == kResponseHeadBytes;  // nothing may follow the head
+    } else {
+      // An ok frame carries exactly the expected arity; a wrong `n` is a
+      // malformed frame, caught before waiting for a body.
+      std::uint64_t n = 0;
+      frame_ok = ReadAtLeastWithDeadline(w.from_child, &response,
+                                         kResponseHeadBytes + sizeof(n), &got,
+                                         deadline, &timed_out);
+      if (frame_ok) in = Get(in, &n);
+      frame_ok = frame_ok && n == fallback.size() &&
+                 ReadAtLeastWithDeadline(w.from_child, &response,
+                                         response.size(), &got, deadline,
+                                         &timed_out);
+      if (frame_ok) {
+        output.resize(n);
+        std::memcpy(output.data(), in, n * sizeof(double));
+      }
     }
   }
 

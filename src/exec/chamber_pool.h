@@ -5,11 +5,29 @@
 // at service rates the fork/page-table/exit cost dominates small blocks.
 // ChamberPool forks N worker processes ONCE, at service start, from a
 // single-threaded point, and thereafter *leases* a worker per block over a
-// pipe protocol:
+// pipe protocol of one frame each way per lease (packed, native byte
+// order):
 //
-//   parent --> worker   run frame: program token + columnar block slices
-//   worker --> parent   result frame: status, violations, rusage delta,
-//                       output vector
+//   parent --> worker   cmd u8 | token_len u32 | num_dims u32 |
+//                       expected_dims u32 | num_rows u64 | token |
+//                       num_dims x num_rows f64, columns in dim order
+//   worker --> parent   status u8 | violations u64 | cpu_user_ns i64 |
+//                       cpu_sys_ns i64 | max_rss_kb i64, then
+//                       n u64 | n x f64 when status is ok
+//
+// The parent sends its frame with one writev whose iovecs point straight
+// into the block's column store; the worker reads the command byte and
+// the header, then fills the token and its column vectors with one readv,
+// and answers with one write. Both sides resume short transfers, so a
+// block larger than the pipe buffer crosses in pieces. The crash and
+// shutdown commands are a bare cmd byte.
+//
+// No shared memory: each worker receives only its own block's bytes, by
+// copy through its pipe. Mapping the gathered store (or any shared
+// segment) into workers would let a program read the query's other
+// blocks, and a block output that depends on more than one block breaks
+// the sample-and-aggregate sensitivity argument (paper §4, §6.2). The
+// copy is the price of that isolation.
 //
 // Worker lifecycle (see docs/architecture.md "Chamber lifecycle"):
 //

@@ -210,17 +210,20 @@ void Histogram::Reset() {
 std::vector<double> Histogram::DurationBuckets() {
   // 1us .. 100s, three steps per decade. Each edge is parsed from its
   // decimal literal so exports print "2.5e-06", not the drifted product
-  // "2.4999999999999998e-06" that decade*step accumulates.
-  std::vector<double> bounds;
-  for (int exp = -6; exp <= 1; ++exp) {
-    for (const char* step : {"1", "2.5", "5"}) {
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "%se%d", step, exp);
-      bounds.push_back(std::strtod(buf, nullptr));
+  // "2.4999999999999998e-06" that decade*step accumulates. Parsed once.
+  static const std::vector<double> kBounds = [] {
+    std::vector<double> bounds;
+    for (int exp = -6; exp <= 1; ++exp) {
+      for (const char* step : {"1", "2.5", "5"}) {
+        char buf[16];
+        std::snprintf(buf, sizeof(buf), "%se%d", step, exp);
+        bounds.push_back(std::strtod(buf, nullptr));
+      }
     }
-  }
-  bounds.push_back(100.0);
-  return bounds;
+    bounds.push_back(100.0);
+    return bounds;
+  }();
+  return kBounds;
 }
 
 MetricsRegistry& MetricsRegistry::Get() {

@@ -4,6 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -11,19 +14,39 @@
 namespace gupt {
 namespace {
 
+/// Counts the completions of directly submitted tasks, so a test waits for
+/// exactly its own tasks (the pool has no pool-wide wait).
+class Completions {
+ public:
+  void Add() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++done_;
+    changed_.notify_all();
+  }
+
+  void WaitFor(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [&] { return done_ >= n; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable changed_;
+  int done_ = 0;
+};
+
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
+  Completions completions;  // outlives the pool and its workers
   ThreadPool pool(4);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+    pool.Submit([&] {
+      counter.fetch_add(1);
+      completions.Add();
+    });
   }
-  pool.Wait();
+  completions.WaitFor(100);
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitWithNoWorkReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -39,11 +62,15 @@ TEST(ThreadPoolTest, ParallelForZeroItems) {
 }
 
 TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
+  Completions completions;
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
   std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
+  pool.Submit([&] {
+    counter.fetch_add(1);
+    completions.Add();
+  });
+  completions.WaitFor(1);
   EXPECT_EQ(counter.load(), 1);
 }
 
@@ -77,15 +104,49 @@ TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
 }
 
 TEST(ThreadPoolTest, SequentialWavesOfWork) {
+  Completions completions;
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int wave = 0; wave < 5; ++wave) {
     for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
+      pool.Submit([&] {
+        counter.fetch_add(1);
+        completions.Add();
+      });
     }
-    pool.Wait();
+    completions.WaitFor((wave + 1) * 20);
     EXPECT_EQ(counter.load(), (wave + 1) * 20);
   }
+}
+
+TEST(ThreadPoolTest, ParallelForReturnsWhileAnotherCallersTaskIsBlocked) {
+  // Two callers share one pool, as concurrent queries share the runtime's
+  // block pool. Caller A's fan-out must return while caller B's task still
+  // holds a worker: each ParallelFor waits for its own tasks only.
+  ThreadPool pool(2);
+  std::promise<void> release_b;
+  std::shared_future<void> b_released = release_b.get_future().share();
+  std::promise<void> b_started;
+  std::thread caller_b([&] {
+    pool.ParallelFor(1, [&](std::size_t) {
+      b_started.set_value();
+      b_released.wait();
+    });
+  });
+  b_started.get_future().wait();
+
+  std::atomic<int> a_ran{0};
+  std::future<void> caller_a = std::async(std::launch::async, [&] {
+    pool.ParallelFor(16, [&](std::size_t) { a_ran.fetch_add(1); });
+  });
+  const bool a_returned = caller_a.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+  // Released in every outcome, so a failure cannot hang the binary.
+  release_b.set_value();
+  caller_b.join();
+  caller_a.wait();
+  EXPECT_TRUE(a_returned) << "caller A waited for caller B's blocked task";
+  EXPECT_EQ(a_ran.load(), 16);
 }
 
 }  // namespace

@@ -17,10 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include "analytics/linear_regression.h"
 #include "analytics/queries.h"
 #include "common/rng.h"
 #include "common/vec.h"
 #include "core/gupt.h"
+#include "data/synthetic.h"
 #include "dp/amplification.h"
 #include "exec/chamber_pool.h"
 
@@ -174,6 +176,59 @@ TEST(PipelineGoldenTest, PooledChambersAreBitIdenticalToInThread) {
   ChamberPoolStats stats = pool.Stats();
   EXPECT_EQ(stats.leases, 54u);
   EXPECT_EQ(stats.respawns, 0u);
+}
+
+TEST(PipelineGoldenTest, PooledMultiColumnReleaseIsBitIdenticalToInThread) {
+  // The golden above ships one column per block. OLS on the life-sciences
+  // table ships all eleven, so every column slice of each request frame
+  // must land in its place for the two releases to agree bit for bit.
+  analytics::LinearRegressionOptions ols;
+  ols.feature_dims = {0, 1, 2};
+  ols.target_dim = 3;
+  auto release = [&ols](ChamberPool* pool) -> Result<QueryReport> {
+    synthetic::LifeSciencesOptions gen;
+    gen.num_rows = 4000;
+    DatasetManager manager;
+    DatasetOptions options;
+    options.total_epsilon = 10.0;
+    GUPT_RETURN_IF_ERROR(
+        manager.Register("ls", synthetic::LifeSciences(gen).value(), options));
+    GuptOptions runtime_options;
+    runtime_options.chamber_pool = pool;
+    GuptRuntime runtime(&manager, runtime_options);
+    QuerySpec spec;
+    spec.program = analytics::LinearRegressionQuery(ols);
+    if (pool != nullptr) spec.pool_program = "ols";
+    spec.epsilon = 2.0;
+    spec.block_size = 200;
+    spec.range = OutputRangeSpec::Tight(std::vector<Range>(4, {-5.0, 5.0}));
+    return runtime.Execute("ls", spec);
+  };
+
+  auto in_thread = release(nullptr);
+  ASSERT_TRUE(in_thread.ok()) << in_thread.status();
+
+  ChamberPool pool(ChamberPolicy{}, 2);
+  pool.SetProgramResolver(
+      [&ols](const std::string& token) -> Result<ProgramFactory> {
+        if (token != "ols") {
+          return Status::InvalidArgument("unknown token: " + token);
+        }
+        return analytics::LinearRegressionQuery(ols);
+      });
+  ASSERT_TRUE(pool.Start().ok());
+  auto pooled = release(&pool);
+  ASSERT_TRUE(pooled.ok()) << pooled.status();
+
+  EXPECT_EQ(pooled->num_blocks, 20u);
+  EXPECT_EQ(pooled->fallback_blocks, 0u);
+  ASSERT_EQ(pooled->output.size(), 4u);
+  EXPECT_EQ(pooled->output, in_thread->output);
+  ChamberPoolStats stats = pool.Stats();
+  EXPECT_EQ(stats.leases, 20u);
+  EXPECT_EQ(stats.respawns, 0u);
+  // Each lease shipped the 21-byte header, the token and 11 columns.
+  EXPECT_EQ(stats.shipped_bytes, 20u * (21 + 3 + 200 * 11 * sizeof(double)));
 }
 
 TEST(PipelineGoldenTest, GammaResamplingWithExplicitBlockSize) {

@@ -1,9 +1,14 @@
 #include "exec/chamber_pool.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,11 +34,81 @@ ProgramFactory SumFactory() {
   });
 }
 
+/// Sums each of `dims` columns with position weights, one output per
+/// column: a chunk of the request frame that is dropped, reordered or
+/// resumed at the wrong offset changes the answer.
+ProgramFactory WeightedColumnSums(std::size_t dims) {
+  return MakeProgramFactory(
+      "colsums", dims, [](const Dataset& block) -> Result<Row> {
+        Row sums(block.num_dims(), 0.0);
+        for (std::size_t d = 0; d < block.num_dims(); ++d) {
+          const double* col = block.col(d);
+          for (std::size_t r = 0; r < block.num_rows(); ++r) {
+            sums[d] += static_cast<double>(r + 1) * col[r];
+          }
+        }
+        return sums;
+      });
+}
+
+/// A rows x dims block of distinct, irregular values.
+Dataset Block(std::size_t rows, std::size_t dims) {
+  std::vector<std::vector<double>> columns(dims, std::vector<double>(rows));
+  for (std::size_t d = 0; d < dims; ++d) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      columns[d][r] = std::sin(static_cast<double>(d * rows + r)) * 1e3;
+    }
+  }
+  return Dataset::FromColumns(std::move(columns)).value();
+}
+
+/// Keeps interrupting `target` with a no-op SIGUSR1 while alive, as the
+/// sampling profiler's SIGPROF interrupts service threads. A blocking pipe
+/// write moves its whole buffer unless a signal interrupts it, and then it
+/// returns short, so this is what makes the parent's writev resume.
+class SignalStorm {
+ public:
+  explicit SignalStorm(pthread_t target) {
+    // Installed once and left installed: a late delivery must never meet
+    // the default action, which ends the process.
+    static const bool installed = [] {
+      struct sigaction sa;
+      std::memset(&sa, 0, sizeof(sa));
+      sa.sa_handler = [](int) {};
+      sigemptyset(&sa.sa_mask);
+      return ::sigaction(SIGUSR1, &sa, nullptr) == 0;
+    }();
+    EXPECT_TRUE(installed);
+    thread_ = std::thread([this, target] {
+      while (!stop_.load()) {
+        ::pthread_kill(target, SIGUSR1);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    });
+  }
+
+  SignalStorm(const SignalStorm&) = delete;
+  SignalStorm& operator=(const SignalStorm&) = delete;
+
+  ~SignalStorm() {
+    stop_.store(true);
+    thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 /// Resolver covering every behaviour the protocol must carry: a clean
-/// program, a wrong-arity program, a failing program, and a stalling one.
+/// program, a wrong-arity program, a failing program, and a stalling one;
+/// `colsums<dims>` resolves to WeightedColumnSums(dims).
 ProgramResolver TestResolver() {
   return [](const std::string& token) -> Result<ProgramFactory> {
     if (token == "sum") return SumFactory();
+    if (token.rfind("colsums", 0) == 0) {
+      return WeightedColumnSums(std::stoul(token.substr(7)));
+    }
     if (token == "pair") {
       return MakeProgramFactory("pair", 2, [](const Dataset&) -> Result<Row> {
         return Row{1.0, 2.0};
@@ -88,6 +163,76 @@ TEST(ChamberPoolTest, OutputMatchesInProcessChamberBitForBit) {
   ASSERT_TRUE(pooled.ok());
   ASSERT_EQ(pooled->output.size(), direct->output.size());
   EXPECT_EQ(pooled->output[0], direct->output[0]);
+}
+
+TEST(ChamberPoolTest, BlockLargerThanThePipeBufferIsBitIdentical) {
+  // 16 columns x 4,096 rows is 512 KiB, more than a pipe buffer holds: the
+  // worker's readv takes the frame in pieces, and with signals landing on
+  // the leasing thread the parent's writev returns short too. Each side
+  // must resume exactly where its last transfer stopped.
+  Dataset data = Block(4096, 16);
+  const Row fallback(16, 0.0);
+  ExecutionChamber chamber{ChamberPolicy{}};
+  auto direct = chamber.Execute(WeightedColumnSums(16), data, fallback);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_FALSE(direct->used_fallback);
+
+  ChamberPool pool(ChamberPolicy{}, 1);
+  pool.SetProgramResolver(TestResolver());
+  ASSERT_TRUE(pool.Start().ok());
+  for (bool interrupted : {false, true}) {
+    std::optional<SignalStorm> storm;
+    if (interrupted) storm.emplace(::pthread_self());
+    for (int lease = 0; lease < 8; ++lease) {
+      auto pooled = pool.Execute("colsums16", data.view(), fallback);
+      ASSERT_TRUE(pooled.ok());
+      EXPECT_FALSE(pooled->used_fallback) << pooled->program_status;
+      EXPECT_EQ(pooled->output, direct->output)
+          << "lease " << lease << (interrupted ? " under signals" : "");
+    }
+  }
+  EXPECT_EQ(pool.Stats().respawns, 0u);
+}
+
+TEST(ChamberPoolTest, MoreColumnsThanOneWritevTakesAreAllShipped) {
+  // 1,100 columns need more iovecs than one writev/readv accepts, and the
+  // 1,100-value answer is more than one atomic pipe write.
+  Dataset data = Block(8, 1100);
+  const Row fallback(1100, 0.0);
+  ExecutionChamber chamber{ChamberPolicy{}};
+  auto direct = chamber.Execute(WeightedColumnSums(1100), data, fallback);
+  ASSERT_TRUE(direct.ok());
+
+  ChamberPool pool(ChamberPolicy{}, 1);
+  pool.SetProgramResolver(TestResolver());
+  ASSERT_TRUE(pool.Start().ok());
+  auto pooled = pool.Execute("colsums1100", data.view(), fallback);
+  ASSERT_TRUE(pooled.ok());
+  EXPECT_FALSE(pooled->used_fallback) << pooled->program_status;
+  EXPECT_EQ(pooled->output, direct->output);
+}
+
+TEST(ChamberPoolTest, ShippedBytesCountTheWholeRequestFrame) {
+  // Per lease: the 21-byte header (cmd u8, token_len u32, num_dims u32,
+  // expected_dims u32, num_rows u64), the token, then every column.
+  ChamberPool pool(ChamberPolicy{}, 1);
+  pool.SetProgramResolver(TestResolver());
+  ASSERT_TRUE(pool.Start().ok());
+  struct Case {
+    std::string token;
+    std::size_t rows;
+    std::size_t dims;
+  };
+  std::uint64_t expected = 0;
+  for (const Case& c : {Case{"sum", 3, 1}, Case{"colsums16", 4096, 16},
+                        Case{"colsums3", 1000, 3}}) {
+    Dataset data = Block(c.rows, c.dims);
+    auto run = pool.Execute(c.token, data.view(), Row(c.dims, 0.0));
+    ASSERT_TRUE(run.ok());
+    ASSERT_FALSE(run->used_fallback) << c.token;
+    expected += 21 + c.token.size() + c.rows * c.dims * sizeof(double);
+    EXPECT_EQ(pool.Stats().shipped_bytes, expected) << c.token;
+  }
 }
 
 TEST(ChamberPoolTest, OneWorkerIsReusedNotRespawned) {

@@ -89,12 +89,16 @@ CopyCosts MeasureCopiedBytes(const Dataset& data) {
   }
 
   // Row replica: the flow this refactor replaced — gather a Subset per
-  // block, then give the chamber its private row-major copy.
+  // block, then give the chamber its private row-major copy. The blocks
+  // are the columnar leg's: the same permutation, dealt round-robin.
   {
     Rng rng(7);
-    auto plan = PartitionDisjoint(data.num_rows(), kNumBlocks, &rng);
-    if (!plan.ok()) std::exit(1);
-    for (const auto& indices : plan->blocks) {
+    const std::vector<std::size_t> perm = rng.Permutation(data.num_rows());
+    std::vector<std::vector<std::size_t>> blocks(kNumBlocks);
+    for (std::size_t i = 0; i < perm.size(); ++i) {
+      blocks[i % kNumBlocks].push_back(perm[i]);
+    }
+    for (const auto& indices : blocks) {
       auto block = data.Subset(indices);
       if (!block.ok()) std::exit(1);
       costs.row_bytes +=

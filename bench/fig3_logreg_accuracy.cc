@@ -34,10 +34,9 @@ int Run() {
   std::size_t block_size =
       env.data.num_rows() / DefaultNumBlocks(env.data.num_rows());
   Rng rng(1);
-  auto plan = PartitionDisjoint(env.data.num_rows(),
-                                env.data.num_rows() / block_size, &rng)
-                  .value();
-  Dataset one_block = env.data.Subset(plan.blocks[0]).value();
+  Dataset one_block =
+      PartitionDisjointView(env.data, env.data.num_rows() / block_size, &rng)
+          ->block(0);
   auto block_model =
       analytics::TrainLogisticRegression(one_block, env.logreg).value();
   double block_accuracy =

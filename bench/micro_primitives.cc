@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "data/partitioner.h"
 #include "dp/accountant.h"
@@ -53,11 +55,19 @@ void BM_AccountantCharge(benchmark::State& state) {
 }
 BENCHMARK(BM_AccountantCharge);
 
+// An n-row, one-column dataset for the partition benchmarks, which time
+// the production entry points: permutation, deal and gather.
+Dataset PartitionInput(std::size_t n) {
+  return Dataset::FromColumn(std::vector<double>(n, 1.0)).value();
+}
+
 void BM_PartitionDisjoint(benchmark::State& state) {
   Rng rng(5);
   auto n = static_cast<std::size_t>(state.range(0));
+  Dataset data = PartitionInput(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PartitionDisjoint(n, DefaultNumBlocks(n), &rng));
+    benchmark::DoNotOptimize(
+        PartitionDisjointView(data, DefaultNumBlocks(n), &rng));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -66,8 +76,9 @@ BENCHMARK(BM_PartitionDisjoint)->Range(1 << 10, 1 << 16)->Complexity();
 void BM_PartitionResampled(benchmark::State& state) {
   Rng rng(6);
   auto n = static_cast<std::size_t>(state.range(0));
+  Dataset data = PartitionInput(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PartitionResampled(n, n / 16, 4, &rng));
+    benchmark::DoNotOptimize(PartitionResampledView(data, n / 16, 4, &rng));
   }
 }
 BENCHMARK(BM_PartitionResampled)->Range(1 << 10, 1 << 16);

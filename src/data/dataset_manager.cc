@@ -23,8 +23,11 @@ Status DatasetManager::Register(const std::string& name, Dataset data,
   if (datasets_.count(name) != 0) {
     return Status::AlreadyExists("dataset already registered: " + name);
   }
-  if (!(options.total_epsilon > 0.0)) {
-    return Status::InvalidArgument("total privacy budget must be positive");
+  // Finite as well as positive: an infinite budget admits every query,
+  // and its "inf" ledger line cannot be restored.
+  if (!(options.total_epsilon > 0.0) || !std::isfinite(options.total_epsilon)) {
+    return Status::InvalidArgument(
+        "total privacy budget must be positive and finite");
   }
   if (options.aged_fraction < 0.0 || options.aged_fraction >= 1.0) {
     return Status::InvalidArgument("aged_fraction must lie in [0, 1)");

@@ -8,15 +8,14 @@
 // One record change therefore touches exactly gamma blocks, matching the
 // sensitivity argument of Claim 1.
 //
-// Two representations are provided. BlockPlan is the index-level plan
-// (blocks of row indices) that the aging model and tests inspect. BlockSet
-// is the execution-layer product: the selected rows gathered ONCE into a
-// block-shuffled columnar store, so that every block is a zero-copy
-// offset+length view. The fused Partition*View entry points draw exactly
-// the same RNG stream as their BlockPlan counterparts and lay rows out in
-// exactly the block order ExecuteOnBlocks used to obtain via per-block
-// Dataset::Subset copies, which is what keeps query outputs bit-identical
-// across the columnar refactor.
+// A partition is a BlockSet: the selected rows gathered once into a
+// block-shuffled columnar store, so every block is a zero-copy
+// offset+length view. Each group draws one Rng::Permutation of the n rows,
+// and the layout follows from it: the disjoint partition deals it
+// round-robin (row r of block b is perm[r * l + b]); resampled group g is
+// the g-th permutation cut into block_size-row slices. The layout fixes
+// which rows each block sees for a seed, which keeps query outputs
+// reproducible bit for bit.
 
 #ifndef GUPT_DATA_PARTITIONER_H_
 #define GUPT_DATA_PARTITIONER_H_
@@ -31,28 +30,6 @@
 #include "data/dataset.h"
 
 namespace gupt {
-
-/// The output of a partitioning step: blocks of row indices plus the
-/// multiplicity gamma needed for sensitivity accounting.
-struct BlockPlan {
-  std::vector<std::vector<std::size_t>> blocks;
-  /// How many blocks each record appears in (1 without resampling).
-  std::size_t gamma = 1;
-
-  std::size_t num_blocks() const { return blocks.size(); }
-};
-
-/// Randomly partitions {0..n-1} into `num_blocks` disjoint blocks whose
-/// sizes differ by at most one. Errors when num_blocks is 0 or exceeds n.
-Result<BlockPlan> PartitionDisjoint(std::size_t n, std::size_t num_blocks,
-                                    Rng* rng);
-
-/// Resampled partition: gamma independent disjoint partitions of {0..n-1}
-/// into blocks of size `block_size` (the final block of each group may be
-/// smaller when block_size does not divide n). Errors when block_size is 0
-/// or exceeds n, or gamma is 0.
-Result<BlockPlan> PartitionResampled(std::size_t n, std::size_t block_size,
-                                     std::size_t gamma, Rng* rng);
 
 /// One block's window into a BlockSet's gathered store.
 struct BlockSlice {
@@ -86,23 +63,21 @@ struct BlockSet {
   }
 };
 
-/// Gathers `plan`'s blocks out of `data` into a BlockSet. Block b's rows
-/// have the same values in the same order as data.Subset(plan.blocks[b])
-/// would produce. Errors on an empty plan, an empty block, or an
-/// out-of-range index. Bytes copied are counted in the
+/// Randomly partitions data's n rows into `num_blocks` disjoint blocks
+/// whose sizes differ by at most one, gathered into a BlockSet with gamma 1.
+/// Errors when the dataset is empty or num_blocks is 0 or exceeds n.
+/// `scratch`, when given, supplies the permutation/gather scratch
+/// (recycled across queries by Reset()). Bytes copied are counted in the
 /// gupt_data_partition_copied_bytes_total metric.
-Result<BlockSet> MaterializeBlocks(const Dataset& data, const BlockPlan& plan);
-
-/// Fused partition+gather: PartitionDisjoint followed by MaterializeBlocks
-/// in one pass, without materializing index vectors. Draws the identical
-/// RNG stream as PartitionDisjoint. `scratch`, when given, supplies the
-/// permutation/gather scratch (recycled across queries by Reset()).
 Result<BlockSet> PartitionDisjointView(const Dataset& data,
                                        std::size_t num_blocks, Rng* rng,
                                        Arena* scratch = nullptr);
 
-/// Fused resampled partition+gather; see PartitionResampled for the block
-/// structure and error contract. Draws the identical RNG stream.
+/// Resampled partition: gamma independent disjoint partitions of data's n
+/// rows into blocks of `block_size` rows (the final block of each group is
+/// smaller when block_size does not divide n). Errors when the dataset is
+/// empty, block_size is 0 or exceeds n, or gamma is 0. `scratch` and the
+/// byte count as for PartitionDisjointView.
 Result<BlockSet> PartitionResampledView(const Dataset& data,
                                         std::size_t block_size,
                                         std::size_t gamma, Rng* rng,

@@ -51,16 +51,6 @@ ComputationManager::ComputationManager(ThreadPool* pool, ChamberPolicy policy,
 }
 
 Result<BlockExecutionReport> ComputationManager::ExecuteOnBlocks(
-    const ProgramFactory& factory, const Dataset& dataset,
-    const BlockPlan& plan, const Row& fallback) const {
-  if (plan.blocks.empty()) {
-    return Status::InvalidArgument("block plan has no blocks");
-  }
-  GUPT_ASSIGN_OR_RETURN(BlockSet blocks, MaterializeBlocks(dataset, plan));
-  return ExecuteOnBlocks(factory, blocks, fallback);
-}
-
-Result<BlockExecutionReport> ComputationManager::ExecuteOnBlocks(
     const ProgramFactory& factory, const BlockSet& blocks, const Row& fallback,
     const std::string& pool_token) const {
   if (blocks.empty()) {
@@ -155,12 +145,6 @@ Result<BlockExecutionReport> ComputationManager::ExecuteOnBlocks(
     child_max_rss_gauge_->Set(child_rss_bytes);  // racy max: a watermark
   }
   return report;
-}
-
-Result<ChamberRun> ComputationManager::ExecuteOnce(
-    const ProgramFactory& factory, const Dataset& dataset,
-    const Row& fallback) const {
-  return chamber_.Execute(factory, dataset, fallback);
 }
 
 }  // namespace gupt

@@ -1,54 +1,21 @@
 #include "obs/introspect/trace_event.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <set>
+
+#include "obs/json.h"
 
 namespace gupt {
 namespace obs {
 namespace introspect {
 namespace {
 
-std::string EscapeJson(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Microseconds with nanosecond precision, as trace_event "ts"/"dur" want.
 std::string Micros(std::int64_t ns) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.3f", static_cast<double>(ns) / 1e3);
-  return buf;
-}
-
-std::string JsonNumber(double value) {
-  if (std::isnan(value) || std::isinf(value)) return "null";
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
   return buf;
 }
 
@@ -58,7 +25,7 @@ std::string CompleteEvent(const std::string& name, const std::string& cat,
                           int tid, std::int64_t ts_ns, std::int64_t dur_ns,
                           std::uint64_t query_id,
                           const std::string& extra_args) {
-  std::string out = "{\"name\":\"" + EscapeJson(name) + "\",\"cat\":\"" + cat +
+  std::string out = "{\"name\":\"" + JsonEscape(name) + "\",\"cat\":\"" + cat +
                     "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
                     ",\"ts\":" + Micros(ts_ns) +
                     ",\"dur\":" + Micros(std::max<std::int64_t>(dur_ns, 1)) +
@@ -105,12 +72,12 @@ std::string ExportChromeTrace(const std::vector<CompletedTrace>& traces) {
 
     // Enclosing per-query span carrying the labels and DP gauges.
     std::string query_args;
-    query_args += ",\"dataset\":\"" + EscapeJson(completed.dataset) + "\"";
-    query_args += ",\"program\":\"" + EscapeJson(completed.program) + "\"";
-    query_args += ",\"analyst\":\"" + EscapeJson(completed.analyst) + "\"";
+    query_args += ",\"dataset\":\"" + JsonEscape(completed.dataset) + "\"";
+    query_args += ",\"program\":\"" + JsonEscape(completed.program) + "\"";
+    query_args += ",\"analyst\":\"" + JsonEscape(completed.analyst) + "\"";
     query_args += std::string(",\"ok\":") + (completed.ok ? "true" : "false");
     for (const auto& [name, value] : trace.gauges()) {
-      query_args += ",\"" + EscapeJson(name) + "\":" + JsonNumber(value);
+      query_args += ",\"" + JsonEscape(name) + "\":" + JsonNumber(value);
     }
     append(CompleteEvent(
         "query " + std::to_string(trace.query_id()) + " " + completed.program,
@@ -125,7 +92,7 @@ std::string ExportChromeTrace(const std::vector<CompletedTrace>& traces) {
       cursor = start + span.duration.count();
       std::string args = std::string(",\"ok\":") + (span.ok ? "true" : "false");
       if (!span.note.empty()) {
-        args += ",\"note\":\"" + EscapeJson(span.note) + "\"";
+        args += ",\"note\":\"" + JsonEscape(span.note) + "\"";
       }
       append(CompleteEvent(span.name, "stage", completed.coordinator_tid,
                            start, span.duration.count(), trace.query_id(),

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace gupt {
 namespace obs {
 namespace {
@@ -56,39 +58,6 @@ std::string EscapePromValue(const std::string& value) {
   return out;
 }
 
-std::string EscapeJson(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Shortest round-trippable decimal; Prometheus accepts Go-style floats.
 std::string FormatNumber(double value) {
   if (std::isnan(value)) return "NaN";
@@ -103,12 +72,6 @@ std::string FormatNumber(double value) {
   out.precision(17);
   out << value;
   return out.str();
-}
-
-/// JSON has no Inf/NaN literals; clamp to null-free sentinels.
-std::string FormatJsonNumber(double value) {
-  if (std::isnan(value) || std::isinf(value)) return "null";
-  return FormatNumber(value);
 }
 
 std::string PromLabelBlock(const Labels& labels, const std::string& extra_key,
@@ -409,11 +372,11 @@ std::string MetricsRegistry::ExportJson() const {
                        : family.kind == Kind::kGauge   ? "gauge"
                                                        : "histogram";
     out += "{\"name\":\"";
-    out += EscapeJson(name);
+    out += JsonEscape(name);
     out += "\",\"type\":\"";
     out += type;
     out += "\",\"help\":\"";
-    out += EscapeJson(family.help);
+    out += JsonEscape(family.help);
     out += "\",\"series\":[";
     bool first_series = true;
     for (const auto& [key, instrument] : family.series) {
@@ -424,40 +387,40 @@ std::string MetricsRegistry::ExportJson() const {
       for (std::size_t i = 0; i < labels.size(); ++i) {
         if (i > 0) out += ',';
         out += '"';
-        out += EscapeJson(labels[i].first);
+        out += JsonEscape(labels[i].first);
         out += "\":\"";
-        out += EscapeJson(labels[i].second);
+        out += JsonEscape(labels[i].second);
         out += '"';
       }
       out += "},";
       switch (family.kind) {
         case Kind::kCounter:
           out += "\"value\":";
-          out += FormatJsonNumber(instrument.counter->Value());
+          out += JsonNumber(instrument.counter->Value());
           break;
         case Kind::kGauge:
           out += "\"value\":";
-          out += FormatJsonNumber(instrument.gauge->Value());
+          out += JsonNumber(instrument.gauge->Value());
           break;
         case Kind::kHistogram: {
           const Histogram& h = *instrument.histogram;
           out += "\"count\":";
           out += std::to_string(h.Count());
           out += ",\"sum\":";
-          out += FormatJsonNumber(h.Sum());
+          out += JsonNumber(h.Sum());
           out += ",\"p50\":";
-          out += FormatJsonNumber(h.Quantile(0.50));
+          out += JsonNumber(h.Quantile(0.50));
           out += ",\"p95\":";
-          out += FormatJsonNumber(h.Quantile(0.95));
+          out += JsonNumber(h.Quantile(0.95));
           out += ",\"p99\":";
-          out += FormatJsonNumber(h.Quantile(0.99));
+          out += JsonNumber(h.Quantile(0.99));
           out += ",\"buckets\":[";
           std::vector<std::uint64_t> counts = h.BucketCounts();
           for (std::size_t i = 0; i < counts.size(); ++i) {
             if (i > 0) out += ',';
             const bool is_inf = i == h.bucket_bounds().size();
             out += "{\"le\":";
-            out += is_inf ? "null" : FormatJsonNumber(h.bucket_bounds()[i]);
+            out += is_inf ? "null" : JsonNumber(h.bucket_bounds()[i]);
             out += ",\"count\":";
             out += std::to_string(counts[i]);
             out += "}";

@@ -6,19 +6,13 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace gupt {
 namespace obs {
 namespace series {
 
 namespace {
-
-/// 17 significant digits: enough for bit-exact double round-trips.
-std::string JsonDouble(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 std::string TextDouble(double value) {
   if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
@@ -26,39 +20,6 @@ std::string TextDouble(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.6g", value);
   return buffer;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::int64_t WindowMinTNs(const SeriesStore& store, double window_seconds) {
@@ -79,7 +40,7 @@ void AppendPointsJson(std::string* out,
     *out += ",\"unix_ms\":";
     *out += std::to_string(points[i].unix_ms);
     *out += ",\"value\":";
-    *out += JsonDouble(points[i].value);
+    *out += JsonNumber(points[i].value);
     *out += '}';
   }
   *out += ']';
@@ -151,7 +112,7 @@ std::string TimeserieszJson(const SeriesStore& store,
   out += ",\"ticks\":";
   out += std::to_string(info.ticks);
   out += ",\"window_seconds\":";
-  out += window_seconds > 0 ? JsonDouble(window_seconds) : "null";
+  out += window_seconds > 0 ? JsonNumber(window_seconds) : "null";
   out += ",\"series\":[";
   bool first = true;
   for (const SeriesSummary& s : summaries) {
@@ -163,13 +124,13 @@ std::string TimeserieszJson(const SeriesStore& store,
     out += std::to_string(s.points);
     if (s.points > 0) {
       out += ",\"latest\":";
-      out += JsonDouble(s.last.value);
+      out += JsonNumber(s.last.value);
       out += ",\"min\":";
-      out += JsonDouble(s.min);
+      out += JsonNumber(s.min);
       out += ",\"mean\":";
-      out += JsonDouble(s.mean);
+      out += JsonNumber(s.mean);
       out += ",\"max\":";
-      out += JsonDouble(s.max);
+      out += JsonNumber(s.max);
       out += ",\"first_unix_ms\":";
       out += std::to_string(s.first.unix_ms);
       out += ",\"last_unix_ms\":";
@@ -261,7 +222,7 @@ std::string AlertzJson(const AlertRuleEngine& engine) {
       out += "\"";
     }
     out += ",\"threshold\":";
-    out += JsonDouble(r.threshold);
+    out += JsonNumber(r.threshold);
     out += ",\"window_ms\":";
     out += std::to_string(r.window_ms);
     out += ",\"for_ms\":";
@@ -286,9 +247,9 @@ std::string AlertzJson(const AlertRuleEngine& engine) {
     out += "\",\"has_data\":";
     out += s.has_data ? "true" : "false";
     out += ",\"value\":";
-    out += JsonDouble(s.value);
+    out += JsonNumber(s.value);
     out += ",\"threshold\":";
-    out += JsonDouble(s.threshold);
+    out += JsonNumber(s.threshold);
     out += ",\"detail\":\"";
     out += JsonEscape(s.detail);
     out += "\",\"pending_since_unix_ms\":";

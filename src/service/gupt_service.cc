@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "data/budget_store.h"
 #include "obs/introspect/trace_event.h"
+#include "obs/json.h"
 #include "obs/prof/profiler.h"
 #include "obs/series/render.h"
 #include "obs/trace.h"
@@ -18,46 +19,28 @@
 namespace gupt {
 namespace {
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+using obs::JsonEscape;
+using obs::JsonNumber;
+
+/// The analyst name records carry for a request that gave none.
+std::string AnalystOrAnonymous(const std::string& analyst) {
+  return analyst.empty() ? "<anonymous>" : analyst;
 }
 
-/// 17 significant digits: enough for a double to round-trip exactly, so
-/// /budgetz totals can be compared against the accountant bit-for-bit.
-std::string JsonDouble(double value) {
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
+/// An audit record with the six fields every record carries; `outcome`
+/// fills `accepted` and `status`.
+AuditRecord NewAuditRecord(const std::string& analyst,
+                           const std::string& dataset,
+                           const std::string& program,
+                           double epsilon_requested, const Status& outcome) {
+  AuditRecord record;
+  record.analyst = AnalystOrAnonymous(analyst);
+  record.dataset = dataset;
+  record.program = program;
+  record.epsilon_requested = epsilon_requested;
+  record.accepted = outcome.ok();
+  record.status = outcome.ToString();
+  return record;
 }
 
 /// Serialises a ProgramSpec into the opaque token a pool worker resolves
@@ -623,7 +606,7 @@ std::string GuptService::SlowzJson() const {
   std::ostringstream out;
   out << "{\"capacity\":" << slow_query_log_->capacity()
       << ",\"threshold_seconds\":"
-      << JsonDouble(slow_query_log_->threshold_seconds())
+      << JsonNumber(slow_query_log_->threshold_seconds())
       << ",\"queries_considered\":" << slow_query_log_->total_considered()
       << ",\"queries\":[";
   bool first = true;
@@ -638,11 +621,11 @@ std::string GuptService::SlowzJson() const {
         << JsonEscape(entry.program) << "\",\"status\":\""
         << JsonEscape(entry.status) << "\",\"completed_unix_ms\":"
         << entry.completed_unix_ms
-        << ",\"wall_seconds\":" << JsonDouble(entry.wall_seconds)
+        << ",\"wall_seconds\":" << JsonNumber(entry.wall_seconds)
         << ",\"cpu_seconds\":"
-        << JsonDouble(static_cast<double>(res.cpu_ns) / 1e9)
+        << JsonNumber(static_cast<double>(res.cpu_ns) / 1e9)
         << ",\"child_cpu_seconds\":"
-        << JsonDouble(static_cast<double>(res.child_user_cpu_ns +
+        << JsonNumber(static_cast<double>(res.child_user_cpu_ns +
                                           res.child_sys_cpu_ns) /
                       1e9)
         << ",\"max_rss_kb\":" << res.max_rss_kb
@@ -657,8 +640,8 @@ std::string GuptService::SlowzJson() const {
       if (!first_stage) out << ',';
       first_stage = false;
       out << "{\"name\":\"" << JsonEscape(stage.name)
-          << "\",\"wall_seconds\":" << JsonDouble(stage.wall_seconds)
-          << ",\"cpu_seconds\":" << JsonDouble(stage.cpu_seconds)
+          << "\",\"wall_seconds\":" << JsonNumber(stage.wall_seconds)
+          << ",\"cpu_seconds\":" << JsonNumber(stage.cpu_seconds)
           << ",\"ok\":" << (stage.ok ? "true" : "false") << '}';
     }
     out << "]}";
@@ -696,7 +679,7 @@ void GuptService::RecordSlowQuery(const QueryRequest& request,
   if (slow_query_log_ == nullptr) return;
   obs::prof::SlowQueryEntry entry;
   entry.query_id = report.trace.query_id();
-  entry.analyst = request.analyst.empty() ? "<anonymous>" : request.analyst;
+  entry.analyst = AnalystOrAnonymous(request.analyst);
   entry.dataset = request.dataset;
   entry.program = request.program.name;
   entry.status = "ok";
@@ -732,8 +715,8 @@ std::string GuptService::SvtzJson() const {
     out << "{\"session_id\":\"" << JsonEscape(info.session_id) << "\""
         << ",\"analyst\":\"" << JsonEscape(info.analyst) << "\""
         << ",\"dataset\":\"" << JsonEscape(info.dataset) << "\""
-        << ",\"threshold\":" << JsonDouble(info.threshold)
-        << ",\"epsilon\":" << JsonDouble(info.epsilon)
+        << ",\"threshold\":" << JsonNumber(info.threshold)
+        << ",\"epsilon\":" << JsonNumber(info.epsilon)
         << ",\"max_positives\":" << info.max_positives
         << ",\"positives_spent\":" << info.positives_spent
         << ",\"remaining_positives\":" << info.remaining_positives
@@ -741,7 +724,7 @@ std::string GuptService::SvtzJson() const {
         << ",\"below_answered\":" << info.below_answered
         << ",\"exhausted\":" << (info.exhausted ? "true" : "false")
         << ",\"idle_seconds\":"
-        << JsonDouble(std::chrono::duration<double>(info.idle).count())
+        << JsonNumber(std::chrono::duration<double>(info.idle).count())
         << '}';
   }
   out << "]}";
@@ -783,13 +766,13 @@ std::string GuptService::BudgetzJson() const {
     const AmplificationStats amplification =
         AmplificationTotals(dataset->name());
     out << "{\"dataset\":\"" << JsonEscape(dataset->name()) << "\""
-        << ",\"total_epsilon\":" << JsonDouble(totals.total_epsilon)
-        << ",\"spent_epsilon\":" << JsonDouble(totals.spent_epsilon)
-        << ",\"remaining_epsilon\":" << JsonDouble(totals.remaining_epsilon())
+        << ",\"total_epsilon\":" << JsonNumber(totals.total_epsilon)
+        << ",\"spent_epsilon\":" << JsonNumber(totals.spent_epsilon)
+        << ",\"remaining_epsilon\":" << JsonNumber(totals.remaining_epsilon())
         << ",\"amplification\":{\"queries\":" << amplification.queries
-        << ",\"epsilon_raw\":" << JsonDouble(amplification.epsilon_raw)
-        << ",\"epsilon_charged\":" << JsonDouble(amplification.epsilon_charged)
-        << ",\"epsilon_saved\":" << JsonDouble(amplification.epsilon_saved())
+        << ",\"epsilon_raw\":" << JsonNumber(amplification.epsilon_raw)
+        << ",\"epsilon_charged\":" << JsonNumber(amplification.epsilon_charged)
+        << ",\"epsilon_saved\":" << JsonNumber(amplification.epsilon_saved())
         << '}'
         << ",\"num_charges\":" << totals.num_charges << ",\"charges\":[";
     bool first_charge = true;
@@ -797,7 +780,7 @@ std::string GuptService::BudgetzJson() const {
       if (!first_charge) out << ',';
       first_charge = false;
       out << "{\"label\":\"" << JsonEscape(charge.label)
-          << "\",\"epsilon\":" << JsonDouble(charge.epsilon) << '}';
+          << "\",\"epsilon\":" << JsonNumber(charge.epsilon) << '}';
     }
     out << "]}";
   }
@@ -997,14 +980,9 @@ void GuptService::AppendAuditRecord(AuditRecord record) {
 
 void GuptService::AuditAdmissionRefusal(const QueryRequest& request,
                                         const Status& refusal) {
-  AuditRecord record;
-  record.analyst = request.analyst.empty() ? "<anonymous>" : request.analyst;
-  record.dataset = request.dataset;
-  record.program = request.program.name;
-  record.epsilon_requested = request.epsilon.value_or(0.0);
-  record.accepted = false;
-  record.status = refusal.ToString();
-  AppendAuditRecord(std::move(record));
+  AppendAuditRecord(NewAuditRecord(request.analyst, request.dataset,
+                                   request.program.name,
+                                   request.epsilon.value_or(0.0), refusal));
 }
 
 Result<QueryReport> GuptService::SubmitQuery(const QueryRequest& request) {
@@ -1068,15 +1046,8 @@ Result<QueryReport> GuptService::ProcessQuery(const QueryRequest& request) {
       failpoints::FireAction::kNone) {
     Status injected =
         Status::Internal(failpoints::InjectedMessage("service.process_query"));
-    AuditRecord record;
-    record.analyst = request.analyst.empty() ? "<anonymous>" : request.analyst;
-    record.dataset = request.dataset;
-    record.program = request.program.name;
-    record.epsilon_requested = request.epsilon.value_or(0.0);
-    record.accepted = false;
-    record.status = injected.ToString();
     metrics_.requests_refused->Increment();
-    AppendAuditRecord(std::move(record));
+    AuditAdmissionRefusal(request, injected);
     return injected;
   }
   const std::string cache_key =
@@ -1091,14 +1062,10 @@ Result<QueryReport> GuptService::ProcessQuery(const QueryRequest& request) {
   Result<QueryReport> outcome =
       from_cache ? Result<QueryReport>(*cached) : Execute(request);
 
-  AuditRecord record;
-  record.analyst = request.analyst.empty() ? "<anonymous>" : request.analyst;
-  record.dataset = request.dataset;
-  record.program = request.program.name;
-  record.epsilon_requested = request.epsilon.value_or(0.0);
-  record.accepted = outcome.ok();
+  AuditRecord record = NewAuditRecord(
+      request.analyst, request.dataset, request.program.name,
+      request.epsilon.value_or(0.0), outcome.status());
   record.from_cache = from_cache;
-  record.status = outcome.status().ToString();
   if (outcome.ok() && !from_cache) {
     record.epsilon_charged = outcome->epsilon_spent;
     record.amplification =
@@ -1135,8 +1102,7 @@ Result<QueryReport> GuptService::ProcessQuery(const QueryRequest& request) {
     completed.query_id = outcome->trace.query_id();
     completed.dataset = request.dataset;
     completed.program = request.program.name;
-    completed.analyst =
-        request.analyst.empty() ? "<anonymous>" : request.analyst;
+    completed.analyst = AnalystOrAnonymous(request.analyst);
     completed.ok = true;
     // ProcessQuery runs on an admission worker, so this is the stable pool
     // id of the coordinating thread — the lane stage spans render on.
@@ -1173,14 +1139,9 @@ void GuptService::AuditSvtEvent(const std::string& analyst,
                                 double epsilon_requested,
                                 double epsilon_charged,
                                 const Status& outcome) {
-  AuditRecord record;
-  record.analyst = analyst.empty() ? "<anonymous>" : analyst;
-  record.dataset = dataset;
-  record.program = event;
-  record.epsilon_requested = epsilon_requested;
+  AuditRecord record =
+      NewAuditRecord(analyst, dataset, event, epsilon_requested, outcome);
   record.epsilon_charged = epsilon_charged;
-  record.accepted = outcome.ok();
-  record.status = outcome.ToString();
   AppendAuditRecord(std::move(record));
 }
 

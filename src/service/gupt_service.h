@@ -423,7 +423,8 @@ class GuptService {
   /// rotating the oldest record out when the log is at capacity.
   void AppendAuditRecord(AuditRecord record);
 
-  /// Records a queue-full refusal in the audit log.
+  /// Records a query refused before it ran (queue full, injected fault)
+  /// in the audit log.
   void AuditAdmissionRefusal(const QueryRequest& request,
                              const Status& refusal);
 

@@ -49,11 +49,8 @@ std::vector<double> SkewedData(std::size_t n, Rng* rng) {
   return values;
 }
 
-double MedianOfBlock(const std::vector<double>& data,
-                     const std::vector<std::size_t>& block) {
-  std::vector<double> values;
-  values.reserve(block.size());
-  for (std::size_t row : block) values.push_back(data[row]);
+double MedianOfBlock(const DatasetView& block) {
+  std::vector<double> values(block.col(0), block.col(0) + block.num_rows());
   std::sort(values.begin(), values.end());
   const std::size_t m = values.size();
   return m % 2 == 1 ? values[m / 2]
@@ -62,25 +59,25 @@ double MedianOfBlock(const std::vector<double>& data,
 
 /// The block-average estimator of one partition draw: mean over blocks of
 /// the per-block median.
-double BlockAverage(const std::vector<double>& data, const BlockPlan& plan) {
+double BlockAverage(const BlockSet& blocks) {
   double sum = 0.0;
-  for (const auto& block : plan.blocks) {
-    sum += MedianOfBlock(data, block);
+  for (std::size_t b = 0; b < blocks.num_blocks(); ++b) {
+    sum += MedianOfBlock(blocks.view(b));
   }
-  return sum / static_cast<double>(plan.num_blocks());
+  return sum / static_cast<double>(blocks.num_blocks());
 }
 
 /// Empirical variance of the estimator over kTrials independent
 /// partition draws (distinct RNG streams under the registered seed).
-double EstimatorVariance(const std::vector<double>& data, std::size_t beta,
+double EstimatorVariance(const Dataset& data, std::size_t beta,
                          std::size_t gamma, std::uint64_t stream_base) {
   std::vector<double> estimates;
   estimates.reserve(kTrials);
   for (std::size_t t = 0; t < kTrials; ++t) {
     Rng rng(kClaim1Seed, stream_base + t);
-    auto plan = PartitionResampled(data.size(), beta, gamma, &rng);
-    EXPECT_TRUE(plan.ok()) << plan.status();
-    estimates.push_back(BlockAverage(data, *plan));
+    auto blocks = PartitionResampledView(data, beta, gamma, &rng);
+    EXPECT_TRUE(blocks.ok()) << blocks.status();
+    estimates.push_back(BlockAverage(*blocks));
   }
   double mean = 0.0;
   for (double e : estimates) mean += e;
@@ -125,7 +122,8 @@ TEST(Claim1PropertyTest, ResampledEstimatorVarianceIsNoWorse) {
   std::uint64_t stream = 0;
   for (const GridPoint& g : grid) {
     Rng data_rng(kClaim1Seed, 0xda7a0000 + g.n + g.beta);
-    const std::vector<double> data = SkewedData(g.n, &data_rng);
+    const Dataset data =
+        Dataset::FromColumn(SkewedData(g.n, &data_rng)).value();
     const double var1 = EstimatorVariance(data, g.beta, 1, stream);
     stream += kTrials;
     ASSERT_GT(var1, 0.0);

@@ -1,6 +1,7 @@
 #include "data/budget_store.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -431,10 +432,13 @@ TEST(BudgetStoreTest, FlippedByteInAnyRecordIsAParseError) {
 }
 
 /// The record line a journal writes for one charge to a dataset `name`
-/// registered with budget `total`.
+/// registered with budget `total`. The scratch file is named after the
+/// dataset and this process, so tests that ctest runs in parallel never
+/// share it.
 std::string WrittenRecord(const std::string& name, double total,
                           double epsilon, const std::string& label) {
-  const std::string path = ::testing::TempDir() + "/gupt_ledger_record.txt";
+  const std::string path = ::testing::TempDir() + "/gupt_ledger_record_" +
+                           name + "_" + std::to_string(getpid()) + ".txt";
   std::remove(path.c_str());
   DatasetManager manager;
   DatasetOptions opts;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gupt {
 namespace {
 
@@ -50,6 +52,21 @@ TEST(DatasetManagerTest, NonPositiveBudgetRejected) {
   DatasetOptions opts;
   opts.total_epsilon = 0.0;
   EXPECT_FALSE(mgr.Register("d", MakeCounting(5), opts).ok());
+}
+
+TEST(DatasetManagerTest, NonFiniteBudgetRejected) {
+  // The accountant only asserts finiteness, and a Release build compiles
+  // the assert out; registration must refuse these itself.
+  for (double total : {std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    DatasetManager mgr;
+    DatasetOptions opts;
+    opts.total_epsilon = total;
+    EXPECT_EQ(mgr.Register("d", MakeCounting(5), opts).code(),
+              StatusCode::kInvalidArgument)
+        << total;
+    EXPECT_FALSE(mgr.Get("d").ok()) << total;
+  }
 }
 
 TEST(DatasetManagerTest, AgedFractionPeelsOldestRows) {

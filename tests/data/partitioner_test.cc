@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
@@ -20,13 +21,74 @@ Dataset IndexedDataset(std::size_t n) {
   return Dataset::FromColumns({a, b}).value();
 }
 
+// The source row indices of each block of a set gathered from an
+// IndexedDataset, in block order.
+std::vector<std::vector<std::size_t>> BlockRows(const BlockSet& set) {
+  std::vector<std::vector<std::size_t>> blocks(set.num_blocks());
+  for (std::size_t b = 0; b < set.num_blocks(); ++b) {
+    DatasetView view = set.view(b);
+    for (std::size_t r = 0; r < view.num_rows(); ++r) {
+      blocks[b].push_back(static_cast<std::size_t>(view.at(r, 0)));
+    }
+  }
+  return blocks;
+}
+
+// The index plan the partitioner's documented layout implies, computed
+// straight from the permutations `rng` draws: block b's row indices in
+// order. Disjoint: perm[r * l + b] is row r of block b.
+std::vector<std::vector<std::size_t>> DisjointPlan(std::size_t n,
+                                                   std::size_t l, Rng* rng) {
+  const std::vector<std::size_t> perm = rng->Permutation(n);
+  std::vector<std::vector<std::size_t>> plan(l);
+  for (std::size_t i = 0; i < n; ++i) plan[i % l].push_back(perm[i]);
+  return plan;
+}
+
+// Resampled: group g is the g-th permutation drawn, cut into beta-row
+// slices (the last one shorter when beta does not divide n).
+std::vector<std::vector<std::size_t>> ResampledPlan(std::size_t n,
+                                                    std::size_t beta,
+                                                    std::size_t gamma,
+                                                    Rng* rng) {
+  std::vector<std::vector<std::size_t>> plan;
+  for (std::size_t g = 0; g < gamma; ++g) {
+    const std::vector<std::size_t> perm = rng->Permutation(n);
+    for (std::size_t start = 0; start < n; start += beta) {
+      const std::size_t end = std::min(start + beta, n);
+      plan.emplace_back(perm.begin() + static_cast<std::ptrdiff_t>(start),
+                        perm.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+  }
+  return plan;
+}
+
+// Asserts that every block of `set` holds exactly its plan's rows, in
+// order and in every column: data.Subset(plan[b]) of the source.
+void ExpectMatchesPlan(const Dataset& data, const BlockSet& set,
+                       const std::vector<std::vector<std::size_t>>& plan) {
+  ASSERT_EQ(set.num_blocks(), plan.size());
+  for (std::size_t b = 0; b < plan.size(); ++b) {
+    Dataset expected = data.Subset(plan[b]).value();
+    DatasetView view = set.view(b);
+    ASSERT_EQ(view.num_rows(), expected.num_rows()) << "block " << b;
+    ASSERT_EQ(view.num_dims(), expected.num_dims());
+    for (std::size_t d = 0; d < view.num_dims(); ++d) {
+      for (std::size_t r = 0; r < view.num_rows(); ++r) {
+        ASSERT_EQ(view.at(r, d), expected.at(r, d))
+            << "block " << b << " row " << r << " dim " << d;
+      }
+    }
+  }
+}
+
 TEST(PartitionDisjointTest, CoversEveryIndexExactlyOnce) {
   Rng rng(1);
-  auto plan = PartitionDisjoint(100, 7, &rng).value();
-  EXPECT_EQ(plan.num_blocks(), 7u);
-  EXPECT_EQ(plan.gamma, 1u);
+  auto set = PartitionDisjointView(IndexedDataset(100), 7, &rng).value();
+  EXPECT_EQ(set.num_blocks(), 7u);
+  EXPECT_EQ(set.gamma, 1u);
   std::map<std::size_t, int> counts;
-  for (const auto& block : plan.blocks) {
+  for (const auto& block : BlockRows(set)) {
     for (std::size_t i : block) ++counts[i];
   }
   EXPECT_EQ(counts.size(), 100u);
@@ -38,49 +100,51 @@ TEST(PartitionDisjointTest, CoversEveryIndexExactlyOnce) {
 
 TEST(PartitionDisjointTest, BlockSizesDifferByAtMostOne) {
   Rng rng(2);
-  auto plan = PartitionDisjoint(100, 7, &rng).value();
+  auto set = PartitionDisjointView(IndexedDataset(100), 7, &rng).value();
   std::size_t min_size = 100, max_size = 0;
-  for (const auto& block : plan.blocks) {
-    min_size = std::min(min_size, block.size());
-    max_size = std::max(max_size, block.size());
+  for (const BlockSlice& slice : set.slices) {
+    min_size = std::min(min_size, slice.length);
+    max_size = std::max(max_size, slice.length);
   }
   EXPECT_LE(max_size - min_size, 1u);
 }
 
 TEST(PartitionDisjointTest, SingleBlockHoldsEverything) {
   Rng rng(3);
-  auto plan = PartitionDisjoint(10, 1, &rng).value();
-  EXPECT_EQ(plan.blocks[0].size(), 10u);
+  auto set = PartitionDisjointView(IndexedDataset(10), 1, &rng).value();
+  EXPECT_EQ(set.view(0).num_rows(), 10u);
 }
 
 TEST(PartitionDisjointTest, NBlocksOfOne) {
   Rng rng(4);
-  auto plan = PartitionDisjoint(10, 10, &rng).value();
-  for (const auto& block : plan.blocks) EXPECT_EQ(block.size(), 1u);
+  auto set = PartitionDisjointView(IndexedDataset(10), 10, &rng).value();
+  for (const BlockSlice& slice : set.slices) EXPECT_EQ(slice.length, 1u);
 }
 
 TEST(PartitionDisjointTest, RejectsBadArguments) {
   Rng rng(5);
-  EXPECT_FALSE(PartitionDisjoint(0, 1, &rng).ok());
-  EXPECT_FALSE(PartitionDisjoint(10, 0, &rng).ok());
-  EXPECT_FALSE(PartitionDisjoint(10, 11, &rng).ok());
+  EXPECT_FALSE(PartitionDisjointView(Dataset(), 1, &rng).ok());
+  EXPECT_FALSE(PartitionDisjointView(IndexedDataset(10), 0, &rng).ok());
+  EXPECT_FALSE(PartitionDisjointView(IndexedDataset(10), 11, &rng).ok());
 }
 
 TEST(PartitionDisjointTest, IsRandomized) {
   Rng rng(6);
-  auto a = PartitionDisjoint(50, 5, &rng).value();
-  auto b = PartitionDisjoint(50, 5, &rng).value();
-  EXPECT_NE(a.blocks, b.blocks);
+  Dataset data = IndexedDataset(50);
+  auto a = PartitionDisjointView(data, 5, &rng).value();
+  auto b = PartitionDisjointView(data, 5, &rng).value();
+  EXPECT_NE(BlockRows(a), BlockRows(b));
 }
 
 TEST(PartitionResampledTest, EveryRecordAppearsExactlyGammaTimes) {
   Rng rng(7);
   const std::size_t n = 60, beta = 10, gamma = 4;
-  auto plan = PartitionResampled(n, beta, gamma, &rng).value();
-  EXPECT_EQ(plan.gamma, gamma);
-  EXPECT_EQ(plan.num_blocks(), gamma * (n / beta));
+  auto set =
+      PartitionResampledView(IndexedDataset(n), beta, gamma, &rng).value();
+  EXPECT_EQ(set.gamma, gamma);
+  EXPECT_EQ(set.num_blocks(), gamma * (n / beta));
   std::map<std::size_t, std::size_t> counts;
-  for (const auto& block : plan.blocks) {
+  for (const auto& block : BlockRows(set)) {
     for (std::size_t i : block) ++counts[i];
   }
   EXPECT_EQ(counts.size(), n);
@@ -91,8 +155,8 @@ TEST(PartitionResampledTest, EveryRecordAppearsExactlyGammaTimes) {
 
 TEST(PartitionResampledTest, NoDuplicateWithinAnyBlock) {
   Rng rng(8);
-  auto plan = PartitionResampled(50, 7, 5, &rng).value();
-  for (const auto& block : plan.blocks) {
+  auto set = PartitionResampledView(IndexedDataset(50), 7, 5, &rng).value();
+  for (const auto& block : BlockRows(set)) {
     std::set<std::size_t> unique(block.begin(), block.end());
     EXPECT_EQ(unique.size(), block.size());
   }
@@ -101,21 +165,21 @@ TEST(PartitionResampledTest, NoDuplicateWithinAnyBlock) {
 TEST(PartitionResampledTest, BlockSizeRespected) {
   Rng rng(9);
   const std::size_t n = 53, beta = 10;  // does not divide evenly
-  auto plan = PartitionResampled(n, beta, 3, &rng).value();
+  auto set = PartitionResampledView(IndexedDataset(n), beta, 3, &rng).value();
   // Each group has ceil(53/10) = 6 blocks: five of size 10, one of size 3.
-  EXPECT_EQ(plan.num_blocks(), 3u * 6u);
-  for (const auto& block : plan.blocks) {
-    EXPECT_LE(block.size(), beta);
-    EXPECT_GE(block.size(), 1u);
+  EXPECT_EQ(set.num_blocks(), 3u * 6u);
+  for (const BlockSlice& slice : set.slices) {
+    EXPECT_LE(slice.length, beta);
+    EXPECT_GE(slice.length, 1u);
   }
 }
 
 TEST(PartitionResampledTest, GammaOneMatchesDisjointSemantics) {
   Rng rng(10);
-  auto plan = PartitionResampled(40, 8, 1, &rng).value();
-  EXPECT_EQ(plan.num_blocks(), 5u);
+  auto set = PartitionResampledView(IndexedDataset(40), 8, 1, &rng).value();
+  EXPECT_EQ(set.num_blocks(), 5u);
   std::map<std::size_t, int> counts;
-  for (const auto& block : plan.blocks) {
+  for (const auto& block : BlockRows(set)) {
     for (std::size_t i : block) ++counts[i];
   }
   for (const auto& [idx, count] : counts) EXPECT_EQ(count, 1) << idx;
@@ -123,10 +187,10 @@ TEST(PartitionResampledTest, GammaOneMatchesDisjointSemantics) {
 
 TEST(PartitionResampledTest, RejectsBadArguments) {
   Rng rng(11);
-  EXPECT_FALSE(PartitionResampled(0, 1, 1, &rng).ok());
-  EXPECT_FALSE(PartitionResampled(10, 0, 1, &rng).ok());
-  EXPECT_FALSE(PartitionResampled(10, 11, 1, &rng).ok());
-  EXPECT_FALSE(PartitionResampled(10, 2, 0, &rng).ok());
+  EXPECT_FALSE(PartitionResampledView(Dataset(), 1, 1, &rng).ok());
+  EXPECT_FALSE(PartitionResampledView(IndexedDataset(10), 0, 1, &rng).ok());
+  EXPECT_FALSE(PartitionResampledView(IndexedDataset(10), 11, 1, &rng).ok());
+  EXPECT_FALSE(PartitionResampledView(IndexedDataset(10), 2, 0, &rng).ok());
 }
 
 TEST(DefaultNumBlocksTest, FollowsNToThePointFour) {
@@ -143,32 +207,20 @@ TEST(DefaultNumBlocksTest, EdgeCases) {
   EXPECT_LE(DefaultNumBlocks(2), 2u);
 }
 
+// MaterializeBlocksTest: the one gather that materializes a partition's
+// blocks into a shared block-shuffled store.
 TEST(MaterializeBlocksTest, BlocksMatchSubsetGatherOrder) {
   Dataset data = IndexedDataset(40);
-  Rng rng(21);
-  BlockPlan plan = PartitionResampled(40, 7, 2, &rng).value();
-  BlockSet set = MaterializeBlocks(data, plan).value();
-  ASSERT_EQ(set.num_blocks(), plan.num_blocks());
-  EXPECT_EQ(set.gamma, plan.gamma);
-  for (std::size_t b = 0; b < plan.num_blocks(); ++b) {
-    Dataset expected = data.Subset(plan.blocks[b]).value();
-    DatasetView view = set.view(b);
-    ASSERT_EQ(view.num_rows(), expected.num_rows());
-    ASSERT_EQ(view.num_dims(), expected.num_dims());
-    for (std::size_t d = 0; d < view.num_dims(); ++d) {
-      for (std::size_t r = 0; r < view.num_rows(); ++r) {
-        EXPECT_EQ(view.at(r, d), expected.at(r, d))
-            << "block " << b << " row " << r << " dim " << d;
-      }
-    }
-  }
+  Rng plan_rng(21), view_rng(21);
+  const auto plan = ResampledPlan(40, 7, 2, &plan_rng);
+  BlockSet set = PartitionResampledView(data, 7, 2, &view_rng).value();
+  EXPECT_EQ(set.gamma, 2u);
+  ExpectMatchesPlan(data, set, plan);
 }
 
 TEST(MaterializeBlocksTest, ViewsAliasOneSharedStore) {
-  Dataset data = IndexedDataset(30);
   Rng rng(22);
-  BlockPlan plan = PartitionDisjoint(30, 5, &rng).value();
-  BlockSet set = MaterializeBlocks(data, plan).value();
+  BlockSet set = PartitionDisjointView(IndexedDataset(30), 5, &rng).value();
   // Every block's column pointer lies inside the one gathered store, at
   // its slice offset — no per-block copies.
   for (std::size_t b = 0; b < set.num_blocks(); ++b) {
@@ -179,59 +231,30 @@ TEST(MaterializeBlocksTest, ViewsAliasOneSharedStore) {
   }
 }
 
-TEST(MaterializeBlocksTest, RejectsBadPlans) {
-  Dataset data = IndexedDataset(10);
-  EXPECT_FALSE(MaterializeBlocks(data, BlockPlan{}).ok());
-  BlockPlan empty_block;
-  empty_block.blocks = {{1, 2}, {}};
-  EXPECT_FALSE(MaterializeBlocks(data, empty_block).ok());
-  BlockPlan out_of_range;
-  out_of_range.blocks = {{1, 2, 10}};
-  EXPECT_FALSE(MaterializeBlocks(data, out_of_range).ok());
-}
-
 TEST(PartitionViewTest, DisjointViewMatchesPlanPathExactly) {
   Dataset data = IndexedDataset(53);
-  // Same seed on both sides: the fused path must draw the identical RNG
-  // stream and gather rows in the identical order.
+  // Same seed on both sides: the partition must draw exactly the plan's
+  // one permutation and lay rows out as the plan says.
   Rng plan_rng(33), view_rng(33);
-  BlockPlan plan = PartitionDisjoint(53, 7, &plan_rng).value();
-  BlockSet from_plan = MaterializeBlocks(data, plan).value();
-  BlockSet fused = PartitionDisjointView(data, 7, &view_rng).value();
-  ASSERT_EQ(fused.num_blocks(), from_plan.num_blocks());
-  EXPECT_EQ(fused.gamma, from_plan.gamma);
+  const auto plan = DisjointPlan(53, 7, &plan_rng);
+  BlockSet set = PartitionDisjointView(data, 7, &view_rng).value();
+  EXPECT_EQ(set.gamma, 1u);
   EXPECT_EQ(plan_rng.UniformUint64(1u << 30), view_rng.UniformUint64(1u << 30))
-      << "the fused path consumed a different number of RNG draws";
-  for (std::size_t b = 0; b < fused.num_blocks(); ++b) {
-    ASSERT_EQ(fused.slices[b].length, from_plan.slices[b].length);
-    for (std::size_t d = 0; d < data.num_dims(); ++d) {
-      for (std::size_t r = 0; r < fused.slices[b].length; ++r) {
-        ASSERT_EQ(fused.view(b).at(r, d), from_plan.view(b).at(r, d));
-      }
-    }
-  }
+      << "the partition consumed a different number of RNG draws";
+  ExpectMatchesPlan(data, set, plan);
 }
 
 TEST(PartitionViewTest, ResampledViewMatchesPlanPathExactly) {
   Dataset data = IndexedDataset(53);
   Rng plan_rng(34), view_rng(34);
   Arena scratch;
-  BlockPlan plan = PartitionResampled(53, 10, 3, &plan_rng).value();
-  BlockSet from_plan = MaterializeBlocks(data, plan).value();
-  BlockSet fused = PartitionResampledView(data, 10, 3, &view_rng,
-                                          &scratch).value();
-  ASSERT_EQ(fused.num_blocks(), from_plan.num_blocks());
-  EXPECT_EQ(fused.gamma, 3u);
+  const auto plan = ResampledPlan(53, 10, 3, &plan_rng);
+  BlockSet set =
+      PartitionResampledView(data, 10, 3, &view_rng, &scratch).value();
+  EXPECT_EQ(set.gamma, 3u);
   EXPECT_EQ(plan_rng.UniformUint64(1u << 30), view_rng.UniformUint64(1u << 30))
-      << "the fused path consumed a different number of RNG draws";
-  for (std::size_t b = 0; b < fused.num_blocks(); ++b) {
-    ASSERT_EQ(fused.slices[b].length, from_plan.slices[b].length);
-    for (std::size_t d = 0; d < data.num_dims(); ++d) {
-      for (std::size_t r = 0; r < fused.slices[b].length; ++r) {
-        ASSERT_EQ(fused.view(b).at(r, d), from_plan.view(b).at(r, d));
-      }
-    }
-  }
+      << "the partition consumed a different number of RNG draws";
+  ExpectMatchesPlan(data, set, plan);
 }
 
 TEST(PartitionViewTest, ArenaScratchIsReusableAcrossQueries) {
@@ -260,7 +283,7 @@ TEST(PartitionViewTest, RejectsBadArguments) {
   EXPECT_FALSE(PartitionResampledView(data, 2, 0, &rng).ok());
 }
 
-// Property sweep: the resampled plan invariants hold across shapes.
+// Property sweep: the resampled partition invariants hold across shapes.
 struct ResampleParam {
   std::size_t n, beta, gamma;
 };
@@ -270,9 +293,11 @@ class ResampleSweep : public ::testing::TestWithParam<ResampleParam> {};
 TEST_P(ResampleSweep, MultiplicityAndBlockInvariants) {
   const auto& p = GetParam();
   Rng rng(99);
-  auto plan = PartitionResampled(p.n, p.beta, p.gamma, &rng).value();
+  auto set =
+      PartitionResampledView(IndexedDataset(p.n), p.beta, p.gamma, &rng)
+          .value();
   std::map<std::size_t, std::size_t> counts;
-  for (const auto& block : plan.blocks) {
+  for (const auto& block : BlockRows(set)) {
     std::set<std::size_t> unique(block.begin(), block.end());
     ASSERT_EQ(unique.size(), block.size());  // no within-block duplicates
     for (std::size_t i : block) ++counts[i];

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-
+#include "common/rng.h"
 #include "common/vec.h"
 
 namespace gupt {
@@ -23,24 +22,30 @@ ProgramFactory BlockMean() {
                             });
 }
 
-BlockPlan SequentialPlan(std::size_t n, std::size_t num_blocks) {
-  BlockPlan plan;
-  plan.blocks.resize(num_blocks);
-  for (std::size_t i = 0; i < n; ++i) {
-    plan.blocks[i % num_blocks].push_back(i);
+// A random disjoint partition of `data` into `num_blocks` blocks.
+BlockSet Partition(const Dataset& data, std::size_t num_blocks) {
+  Rng rng(1);
+  return PartitionDisjointView(data, num_blocks, &rng).value();
+}
+
+// One single-row block per row of `data`, viewing its own store.
+BlockSet RowBlocks(const Dataset& data) {
+  BlockSet set;
+  set.store = data.store();
+  for (std::size_t i = 0; i < data.num_rows(); ++i) {
+    set.slices.push_back(BlockSlice{data.offset() + i, 1});
   }
-  return plan;
+  return set;
 }
 
 TEST(ComputationManagerTest, SequentialExecutesEveryBlock) {
   ComputationManager manager(nullptr, ChamberPolicy{});
-  Dataset data = Counting(20);
-  auto report = manager.ExecuteOnBlocks(BlockMean(), data,
-                                        SequentialPlan(20, 4), Row{0.0});
+  auto report = manager.ExecuteOnBlocks(BlockMean(), Partition(Counting(20), 4),
+                                        Row{0.0});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->runs.size(), 4u);
   EXPECT_EQ(report->fallback_count, 0u);
-  // Block means average to the global mean for a balanced round-robin deal.
+  // Block means average to the global mean for a balanced partition.
   std::vector<Row> outputs = report->Outputs();
   double sum = 0.0;
   for (const Row& o : outputs) sum += o[0];
@@ -48,16 +53,15 @@ TEST(ComputationManagerTest, SequentialExecutesEveryBlock) {
 }
 
 TEST(ComputationManagerTest, ParallelMatchesSequentialOutputs) {
-  Dataset data = Counting(100);
-  BlockPlan plan = SequentialPlan(100, 10);
+  BlockSet blocks = Partition(Counting(100), 10);
   ComputationManager sequential(nullptr, ChamberPolicy{});
   ThreadPool pool(4);
   ComputationManager parallel(&pool, ChamberPolicy{});
-  auto a = sequential.ExecuteOnBlocks(BlockMean(), data, plan, Row{0.0});
-  auto b = parallel.ExecuteOnBlocks(BlockMean(), data, plan, Row{0.0});
+  auto a = sequential.ExecuteOnBlocks(BlockMean(), blocks, Row{0.0});
+  auto b = parallel.ExecuteOnBlocks(BlockMean(), blocks, Row{0.0});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  // Same plan, deterministic program: identical per-block outputs in order.
+  // Same blocks, deterministic program: identical per-block outputs in order.
   EXPECT_EQ(a->Outputs(), b->Outputs());
 }
 
@@ -70,11 +74,9 @@ TEST(ComputationManagerTest, CountsFallbacks) {
         }
         return Row{1.0};
       });
-  Dataset data = Counting(4);
-  BlockPlan plan;
-  plan.blocks = {{0}, {1}, {2}, {3}};
   ComputationManager manager(nullptr, ChamberPolicy{});
-  auto report = manager.ExecuteOnBlocks(flaky, data, plan, Row{-1.0});
+  auto report =
+      manager.ExecuteOnBlocks(flaky, RowBlocks(Counting(4)), Row{-1.0});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->fallback_count, 2u);
   EXPECT_EQ(report->Outputs()[0], (Row{-1.0}));
@@ -83,32 +85,9 @@ TEST(ComputationManagerTest, CountsFallbacks) {
 
 TEST(ComputationManagerTest, EmptyPlanRejected) {
   ComputationManager manager(nullptr, ChamberPolicy{});
-  EXPECT_FALSE(
-      manager.ExecuteOnBlocks(BlockMean(), Counting(5), BlockPlan{}, Row{0.0})
-          .ok());
-}
-
-TEST(ComputationManagerTest, BadBlockIndexRejectedBeforeExecution) {
-  std::atomic<int> executions{0};
-  auto counting_program = MakeProgramFactory(
-      "counting", 1, [&executions](const Dataset&) -> Result<Row> {
-        executions.fetch_add(1);
-        return Row{0.0};
-      });
-  BlockPlan plan;
-  plan.blocks = {{0}, {99}};  // 99 is out of range for 5 rows
-  ComputationManager manager(nullptr, ChamberPolicy{});
-  EXPECT_FALSE(
-      manager.ExecuteOnBlocks(counting_program, Counting(5), plan, Row{0.0})
-          .ok());
-  EXPECT_EQ(executions.load(), 0);  // no untrusted code ran
-}
-
-TEST(ComputationManagerTest, ExecuteOnceRunsWholeDataset) {
-  ComputationManager manager(nullptr, ChamberPolicy{});
-  auto run = manager.ExecuteOnce(BlockMean(), Counting(11), Row{0.0});
-  ASSERT_TRUE(run.ok());
-  EXPECT_NEAR(run->output[0], 5.0, 1e-9);
+  auto report = manager.ExecuteOnBlocks(BlockMean(), BlockSet{}, Row{0.0});
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().message(), "block set has no blocks");
 }
 
 TEST(ComputationManagerTest, AggregatesPolicyViolationCounts) {
@@ -124,10 +103,9 @@ TEST(ComputationManagerTest, AggregatesPolicyViolationCounts) {
     std::string name() const override { return "noisy"; }
   };
   ProgramFactory factory = [] { return std::make_unique<Noisy>(); };
-  BlockPlan plan;
-  plan.blocks = {{0}, {1}, {2}};
   ComputationManager manager(nullptr, ChamberPolicy{});
-  auto report = manager.ExecuteOnBlocks(factory, Counting(3), plan, Row{0.0});
+  auto report =
+      manager.ExecuteOnBlocks(factory, RowBlocks(Counting(3)), Row{0.0});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->policy_violation_count, 3u);
 }

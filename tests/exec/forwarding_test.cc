@@ -72,10 +72,12 @@ TEST(ForwardingAgentTest, MessagesDoNotCrossRuns) {
 TEST(ForwardingAgentTest, VisibleThroughComputationManagerRuns) {
   ProgramFactory factory = [] { return std::make_unique<ChattyProgram>(1); };
   ComputationManager manager(nullptr, ChamberPolicy{});
-  BlockPlan plan;
-  plan.blocks = {{0}, {1}};
-  auto report = manager.ExecuteOnBlocks(factory, OneColumn({1, 2}), plan,
-                                        Row{0.0});
+  // Two single-row blocks over the dataset's own store.
+  Dataset data = OneColumn({1, 2});
+  BlockSet blocks;
+  blocks.store = data.store();
+  blocks.slices = {BlockSlice{0, 1}, BlockSlice{1, 1}};
+  auto report = manager.ExecuteOnBlocks(factory, blocks, Row{0.0});
   ASSERT_TRUE(report.ok());
   for (const ChamberRun& run : report->runs) {
     EXPECT_EQ(run.forwarded_messages.size(), 1u);

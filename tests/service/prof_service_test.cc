@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -303,6 +304,27 @@ TEST(ProfServiceTest, SlowzRetainsTheWorstQueriesNotTheLatest) {
   // The heavy query burns ~16ms of spinning: it must still be retained
   // (and first) after four cheap queries tried to displace it.
   EXPECT_EQ(snapshot[0].query_id, heavy_qid);
+}
+
+TEST(ProfServiceTest, SlowzJsonWritesAnInfiniteThresholdAsNull) {
+  // An infinite threshold retains nothing; the page must still be JSON.
+  ServiceOptions options;
+  options.slow_query_threshold_seconds =
+      std::numeric_limits<double>::infinity();
+  auto service =
+      MakeServingService(options, ProgramRegistry::WithStandardPrograms());
+  ASSERT_TRUE(service->SubmitQuery(MeanRequest(0.5)).ok());
+  HttpGetResult scrape = HttpGet("127.0.0.1", service->introspect_port(),
+                                 "/slowz?format=json");
+  ASSERT_TRUE(scrape.ok) << scrape.error;
+  ASSERT_EQ(scrape.status, 200);
+  JsonValue root;
+  ASSERT_TRUE(ParseJson(scrape.body, &root)) << scrape.body;
+  const JsonValue* threshold = root.Find("threshold_seconds");
+  ASSERT_NE(threshold, nullptr) << scrape.body;
+  EXPECT_EQ(threshold->type, JsonValue::Type::kNull) << scrape.body;
+  ASSERT_NE(root.Find("queries"), nullptr);
+  EXPECT_TRUE(root.Find("queries")->array.empty()) << scrape.body;
 }
 
 TEST(ProfServiceTest, SlowzDisabledAnswers404) {

@@ -9,7 +9,6 @@
 
 #include "analytics/queries.h"
 #include "bench_util.h"
-#include "dp/amplification.h"
 
 namespace gupt {
 namespace {
@@ -40,7 +39,7 @@ int Run() {
   double last_epsilon_spent = 0.0;
   auto queries_until_exhaustion =
       [&](std::optional<double> epsilon, double budget,
-          dp::AmplificationMode amplification) {
+          std::optional<double> amplification_rate) {
     synthetic::CensusAgeOptions gen;
     Dataset data = synthetic::CensusAges(gen).value();
     DatasetManager manager;
@@ -57,10 +56,7 @@ int Run() {
       spec.program = analytics::MeanQuery(0);
       spec.range = OutputRangeSpec::Tight({Range{0.0, 150.0}});
       spec.block_size = kBlockSize;
-      spec.amplification = amplification;
-      if (amplification != dp::AmplificationMode::kOff) {
-        spec.amplification_rate = kAmplificationRate;
-      }
+      spec.amplification_rate = amplification_rate;
       if (epsilon) {
         spec.epsilon = *epsilon;
       } else {
@@ -73,7 +69,7 @@ int Run() {
                      report.status().ToString().c_str());
         std::exit(1);
       }
-      last_sampling_rate = report->sampling_rate;
+      last_sampling_rate = report->sampling_rate.value_or(1.0);
       last_epsilon_spent = report->epsilon_spent;
       ++answered;
       if (answered > 100000) break;  // safety valve
@@ -81,12 +77,10 @@ int Run() {
     return answered;
   };
 
-  int n_eps1 = queries_until_exhaustion(1.0, kTotalBudget,
-                                        dp::AmplificationMode::kOff);
-  int n_eps03 = queries_until_exhaustion(0.3, kTotalBudget,
-                                         dp::AmplificationMode::kOff);
-  int n_variable = queries_until_exhaustion(std::nullopt, kTotalBudget,
-                                            dp::AmplificationMode::kOff);
+  int n_eps1 = queries_until_exhaustion(1.0, kTotalBudget, std::nullopt);
+  int n_eps03 = queries_until_exhaustion(0.3, kTotalBudget, std::nullopt);
+  int n_variable =
+      queries_until_exhaustion(std::nullopt, kTotalBudget, std::nullopt);
 
   std::printf("total budget per run: %.1f, one scheme per fresh dataset\n\n",
               kTotalBudget);
@@ -101,10 +95,9 @@ int Run() {
   // charged raw, one on Bernoulli(kAmplificationRate) subsamples charged
   // the amplified epsilon' = ln(1 + rate*(e^eps - 1)). The amplified run
   // trades per-query accuracy (fewer blocks -> wider noise) for lifetime.
-  int n_raw = queries_until_exhaustion(1.0, kAmplifiedBudget,
-                                       dp::AmplificationMode::kOff);
-  int n_amplified = queries_until_exhaustion(1.0, kAmplifiedBudget,
-                                             dp::AmplificationMode::kRawEpsilon);
+  int n_raw = queries_until_exhaustion(1.0, kAmplifiedBudget, std::nullopt);
+  int n_amplified =
+      queries_until_exhaustion(1.0, kAmplifiedBudget, kAmplificationRate);
   const double sampling_rate = last_sampling_rate;
   const double epsilon_amplified = last_epsilon_spent;
   const double gain =

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "core/budget_allocator.h"
-#include "dp/amplification.h"
 
 namespace gupt {
 
@@ -61,11 +60,12 @@ Result<std::vector<QueryReport>> GuptRuntime::ExecuteWithSharedBudget(
       return Status::InvalidArgument(
           "shared-budget queries must leave epsilon and accuracy_goal unset");
     }
-    if (spec.amplification != dp::AmplificationMode::kOff) {
-      // The allocator owns every slice's epsilon, so neither amplification
-      // mode has a well-defined meaning here: the analyst controls neither
-      // the raw calibration nor the charge. Reject rather than silently
-      // degrade to different semantics than a standalone query would get.
+    if (spec.amplification_rate.has_value()) {
+      // The allocator splits total_epsilon so that the slices' charges sum
+      // to it; an amplified slice would be charged less than its share, so
+      // a sampling rate has no well-defined meaning here. Reject rather
+      // than silently degrade to different semantics than a standalone
+      // query would get.
       return Status::InvalidArgument(
           "shared-budget queries do not support amplification; run the "
           "query standalone with an explicit epsilon");
@@ -113,9 +113,6 @@ Result<std::vector<QueryReport>> GuptRuntime::ExecuteWithSharedBudget(
     ctx.plan.epsilon_saf_per_dim =
         epsilons[i] / (ModeMultiplier(specs[i].range.mode) *
                        EffectiveOutputDims(specs[i], plans[i].output_dims));
-    // Amplification is rejected above, so each slice's ledger debit is
-    // exactly its allocation.
-    ctx.plan.epsilon_charged = ctx.plan.epsilon_total;
     ctx.plan_resolved = true;
     GUPT_ASSIGN_OR_RETURN(QueryReport report, pipeline_.Run(ctx));
     reports.push_back(std::move(report));

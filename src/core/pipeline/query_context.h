@@ -26,7 +26,6 @@
 #include "core/sample_aggregate.h"
 #include "data/dataset_manager.h"
 #include "data/partitioner.h"
-#include "dp/amplification.h"
 #include "exec/computation_manager.h"
 #include "exec/program.h"
 #include "obs/prof/rusage.h"
@@ -74,27 +73,19 @@ struct QuerySpec {
   std::size_t gamma = 1;
   /// Epsilon interpretation for multi-dimensional outputs.
   BudgetAccounting accounting = BudgetAccounting::kTheorem1;
-  /// Amplification-by-sampling mode (dp/amplification.h). Any non-off
-  /// mode CHANGES THE MECHANISM: the pipeline draws a
-  /// Bernoulli(amplification_rate) subsample of the dataset, partitions
-  /// only the subsample, and aggregates only over it — that is what makes
-  /// the amplified ledger charge sound (averaging all blocks of a full
-  /// partition is parallel composition, not amplification). kOff
-  /// reproduces the historical pipeline bit-for-bit. Non-off modes
-  /// require `amplification_rate`, gamma == 1 and tight/loose range
-  /// declarations (helper mode reads records outside the subsample);
-  /// kChargedEpsilon additionally requires an explicit `epsilon`.
-  dp::AmplificationMode amplification = dp::AmplificationMode::kOff;
-  /// Bernoulli inclusion probability of the amplification subsample, in
-  /// (0, 1]. Required when `amplification` is not kOff; 1.0 disables the
-  /// subsample draw (and charges exactly the declared epsilon). This is
-  /// an explicit privacy parameter — the runtime never infers it from the
-  /// block geometry.
+  /// Bernoulli inclusion probability of an amplification-by-sampling
+  /// subsample (dp/amplification.h), in (0, 1]; unset runs the query on
+  /// the full data and charges the declared budget. Setting it CHANGES THE
+  /// MECHANISM: the pipeline draws a Bernoulli(rate) subsample of the
+  /// dataset, partitions only the subsample, and aggregates only over it —
+  /// that is what makes the amplified ledger charge
+  /// AmplifiedEpsilon(epsilon, rate) sound (averaging all blocks of a full
+  /// partition is parallel composition, not amplification). The noise stays
+  /// calibrated at the declared (or accuracy-solved) epsilon. Requires
+  /// gamma == 1 and a tight/loose range declaration (helper mode reads
+  /// records outside the subsample); 1.0 draws nothing and charges exactly
+  /// epsilon. The runtime never infers a rate from the block geometry.
   std::optional<double> amplification_rate;
-  /// Ceiling on the raw epsilon kChargedEpsilon may derive from the
-  /// declared charge (the inverse map is unbounded as the sampling rate
-  /// shrinks). Conversions above it are rejected before admission.
-  double amplification_raw_epsilon_cap = dp::kDefaultRawEpsilonCap;
   /// User-level privacy (paper §8.1): when one user may own up to this
   /// many records, all sensitivities are scaled by it (group privacy), so
   /// the release is epsilon-DP at the *user* level. 1 = record-level DP.
@@ -112,13 +103,11 @@ struct QueryReport {
   std::size_t block_size = 0;
   std::size_t num_blocks = 0;
   std::size_t gamma = 1;
-  /// Amplification-by-sampling diagnostics: the charging mode, the
-  /// Bernoulli rate of the pre-partition subsample, and the raw epsilon
-  /// the subsampled mechanism's noise was calibrated at. Under kOff,
-  /// epsilon_raw == epsilon_spent and sampling_rate stays 1.0 (no
-  /// subsample is drawn).
-  dp::AmplificationMode amplification = dp::AmplificationMode::kOff;
-  double sampling_rate = 1.0;
+  /// Amplification-by-sampling diagnostics: the Bernoulli rate of the
+  /// pre-partition subsample (unset when the query ran on the full data),
+  /// and the raw epsilon the noise was calibrated at (== epsilon_spent
+  /// when unamplified).
+  std::optional<double> sampling_rate;
   double epsilon_raw = 0.0;
   /// The clamp ranges actually used for aggregation.
   std::vector<Range> effective_ranges;
@@ -144,19 +133,15 @@ struct QueryPlan {
   std::size_t gamma = 1;
   double epsilon_saf_per_dim = 0.0;
   double epsilon_total = 0.0;
-  /// Amplification-by-sampling calibration (PlanStage): the charging mode
-  /// copied from the spec, the Bernoulli rate of the subsample
-  /// PartitionStage must draw (1.0 = no draw), and the amplified ledger
-  /// charge. Under kOff, epsilon_charged == epsilon_total, so
-  /// AdmitStage's debit is unchanged bit-for-bit. Under any non-off mode
-  /// `num_blocks` is FIXED at plan time from the expected subsample size;
-  /// PartitionStage refuses (rather than repartitions) in the
-  /// astronomically unlikely event the realised subsample is smaller than
-  /// the planned block count, so the noise scale never depends on the
-  /// realised sample size.
-  dp::AmplificationMode amplification = dp::AmplificationMode::kOff;
-  double sampling_rate = 1.0;
-  double epsilon_charged = 0.0;
+  /// The Bernoulli rate of the subsample PartitionStage must draw, copied
+  /// from the spec (unset = no subsample, and AdmitStage charges
+  /// epsilon_total bit-for-bit). When set, AdmitStage charges the amplified
+  /// AmplifiedEpsilon(epsilon_total, rate) and `num_blocks` is FIXED at
+  /// plan time from the expected subsample size; PartitionStage refuses
+  /// (rather than repartitions) in the astronomically unlikely event the
+  /// realised subsample is smaller than the planned block count, so the
+  /// noise scale never depends on the realised sample size.
+  std::optional<double> sampling_rate;
   /// Ranges known before execution (declared, or helper-translated from
   /// *loose* inputs for width estimation); loose mode refines after.
   std::vector<Range> planning_ranges;

@@ -240,29 +240,20 @@ Status PlanStage::Run(QueryContext& ctx) const {
   // Amplification by sampling (dp/amplification.h). The amplified charge
   // is sound only when the release depends on a single random
   // gamma-subsample — averaging all blocks of a full partition is
-  // parallel composition, already priced into the raw epsilon. So any
-  // non-off mode commits PartitionStage to drawing a Bernoulli(rate)
+  // parallel composition, already priced into the raw epsilon. So a
+  // declared rate commits PartitionStage to drawing a Bernoulli(rate)
   // subsample and the whole plan (block geometry included) is laid out
   // against the subsample's expected size. The block count is fixed HERE,
   // from public quantities only, so the noise scale never depends on the
   // realised sample size.
-  plan.amplification = spec.amplification;
-  plan.sampling_rate = 1.0;
+  plan.sampling_rate = spec.amplification_rate;
   // Rows the mechanism will see: n, or the expected subsample size.
   std::size_t n_mech = n;
-  // kChargedEpsilon: the raw epsilon derived from the declared charge,
-  // known before block planning because the rate is spec-supplied.
-  std::optional<double> charged_raw_epsilon;
-  if (plan.amplification != dp::AmplificationMode::kOff) {
+  if (plan.sampling_rate.has_value()) {
     // Pre-admission fault site: an injected failure here aborts the query
     // before AdmitStage, so nothing may be charged.
     GUPT_FAILPOINT_STATUS("core.amplify.calibrate");
-    if (!spec.amplification_rate.has_value()) {
-      return Status::InvalidArgument(
-          "amplification requires an explicit sampling rate in (0, 1] "
-          "(QuerySpec::amplification_rate)");
-    }
-    const double rate = *spec.amplification_rate;
+    const double rate = *plan.sampling_rate;
     if (!std::isfinite(rate) || rate <= 0.0 || rate > 1.0) {
       return Status::InvalidArgument(
           "amplification_rate must be in (0, 1]");
@@ -279,29 +270,9 @@ Status PlanStage::Run(QueryContext& ctx) const {
           "estimation reads records outside the subsample, so the release "
           "would no longer depend on the subsample alone");
     }
-    plan.sampling_rate = rate;
     if (rate < 1.0) {
       n_mech = static_cast<std::size_t>(std::llround(rate * static_cast<double>(n)));
       n_mech = std::max<std::size_t>(1, std::min(n_mech, n));
-    }
-    if (plan.amplification == dp::AmplificationMode::kChargedEpsilon) {
-      if (!spec.epsilon.has_value()) {
-        return Status::InvalidArgument(
-            "charged_epsilon amplification requires an explicit epsilon: "
-            "an accuracy goal solves the raw epsilon, so the analyst does "
-            "not own the charge (use raw_epsilon)");
-      }
-      GUPT_ASSIGN_OR_RETURN(
-          double raw, dp::RawEpsilonForAmplified(*spec.epsilon, rate));
-      if (raw > spec.amplification_raw_epsilon_cap) {
-        return Status::InvalidArgument(
-            "charged_epsilon at rate " + std::to_string(rate) +
-            " derives raw epsilon " + std::to_string(raw) +
-            " above the cap " +
-            std::to_string(spec.amplification_raw_epsilon_cap) +
-            " (QuerySpec::amplification_raw_epsilon_cap)");
-      }
-      charged_raw_epsilon = raw;
     }
   }
 
@@ -354,16 +325,12 @@ Status PlanStage::Run(QueryContext& ctx) const {
       stage.set_note("explicit");
     } else if (spec.optimize_block_size && ds.aged() != nullptr) {
       BlockPlannerOptions planner_options;
-      // When the budget is known, plan against the SAF share of the raw
-      // (noise-calibration) epsilon — under charged_epsilon that is the
-      // inverse-mapped value computed above, not the declared charge.
-      // With an accuracy goal the budget is solved *after* the block
-      // size, so plan with a provisional unit budget (the paper sequences
-      // it the same way).
+      // When the budget is known, plan against its SAF share. With an
+      // accuracy goal the budget is solved *after* the block size, so plan
+      // with a provisional unit budget (the paper sequences it the same
+      // way).
       planner_options.epsilon_per_dim =
-          charged_raw_epsilon ? *charged_raw_epsilon / (multiplier * p)
-          : spec.epsilon      ? *spec.epsilon / (multiplier * p)
-                              : 1.0;
+          spec.epsilon ? *spec.epsilon / (multiplier * p) : 1.0;
       planner_options.range_widths = widths;
       Result<BlockPlanChoice> choice = PlanBlockSize(
           *ds.aged(), n_mech, spec.program, planner_options, ctx.rng);
@@ -391,13 +358,7 @@ Status PlanStage::Run(QueryContext& ctx) const {
   // Privacy budget: explicit, or solved from the accuracy goal (§5.1).
   {
     StageScope stage(ctx.trace, "budget_derive");
-    if (charged_raw_epsilon.has_value()) {
-      // kChargedEpsilon: the declared epsilon is the target charge; the
-      // subsampled mechanism runs at the (capped) inverse raw epsilon.
-      plan.epsilon_total = *charged_raw_epsilon;
-      plan.epsilon_saf_per_dim = plan.epsilon_total / (multiplier * p);
-      stage.set_note("charged_epsilon");
-    } else if (spec.epsilon.has_value()) {
+    if (spec.epsilon.has_value()) {
       if (!(*spec.epsilon > 0.0)) {
         stage.set_ok(false);
         return Status::InvalidArgument("epsilon must be positive");
@@ -433,20 +394,6 @@ Status PlanStage::Run(QueryContext& ctx) const {
     }
   }
 
-  // The ledger charge: epsilon_total under kOff; the declared target
-  // under kChargedEpsilon; the amplified epsilon' of the raw calibration
-  // under kRawEpsilon (explicit or accuracy-solved epsilon alike — both
-  // are raw noise calibrations of the subsampled mechanism).
-  plan.epsilon_charged = plan.epsilon_total;
-  if (plan.amplification != dp::AmplificationMode::kOff) {
-    if (charged_raw_epsilon.has_value()) {
-      plan.epsilon_charged = *spec.epsilon;
-    } else {
-      GUPT_ASSIGN_OR_RETURN(
-          plan.epsilon_charged,
-          dp::AmplifiedEpsilon(plan.epsilon_total, plan.sampling_rate));
-    }
-  }
   return Status::OK();
 }
 
@@ -462,14 +409,15 @@ Status AdmitStage::Run(QueryContext& ctx) const {
     std::unique_ptr<AnalysisProgram> probe = spec.program();
     ctx.label = probe->name() + " [" + RangeModeToString(spec.range.mode) + "]";
   }
-  // Under amplification the ledger is debited the amplified epsilon'
-  // (plan.epsilon_charged) while the noise downstream stays calibrated at
-  // the raw plan.epsilon_total. kOff charges epsilon_total directly — the
-  // historical code path, which also covers hand-resolved plans whose
-  // epsilon_total was edited after planning.
-  const bool amplified = plan.amplification != dp::AmplificationMode::kOff;
-  const double charge = amplified ? plan.epsilon_charged : plan.epsilon_total;
-  if (amplified) {
+  // A declared rate debits the amplified epsilon' while the noise
+  // downstream stays calibrated at the raw plan.epsilon_total. Without one
+  // the ledger is charged epsilon_total itself — the historical code path,
+  // which also covers hand-resolved plans whose epsilon_total was edited
+  // after planning.
+  double charge = plan.epsilon_total;
+  if (plan.sampling_rate.has_value()) {
+    GUPT_ASSIGN_OR_RETURN(
+        charge, dp::AmplifiedEpsilon(plan.epsilon_total, *plan.sampling_rate));
     // Fault site immediately before the debit: fire => ledger untouched.
     GUPT_FAILPOINT_STATUS("core.amplify.charge");
   }
@@ -482,16 +430,15 @@ Status AdmitStage::Run(QueryContext& ctx) const {
     }
   }
   metrics_->epsilon_charged->Increment(charge);
-  if (amplified) {
+  if (plan.sampling_rate.has_value()) {
     metrics_->amplification_queries->Increment(1.0);
-    metrics_->amplification_sampling_rate->Set(plan.sampling_rate);
+    metrics_->amplification_sampling_rate->Set(*plan.sampling_rate);
     metrics_->amplification_epsilon_saved->Increment(plan.epsilon_total -
                                                      charge);
   }
 
   ctx.report.epsilon_spent = charge;
   ctx.report.epsilon_saf_per_dim = plan.epsilon_saf_per_dim;
-  ctx.report.amplification = plan.amplification;
   ctx.report.sampling_rate = plan.sampling_rate;
   ctx.report.epsilon_raw = plan.epsilon_total;
   ctx.report.block_size = plan.block_size;
@@ -548,15 +495,15 @@ Status PartitionStage::Run(QueryContext& ctx) const {
   // drawn HERE, before partitioning, and only its rows are ever gathered
   // into blocks. rate == 1.0 skips the draw entirely, so a full-rate
   // amplified query consumes the exact RNG stream of an unamplified one.
-  const bool subsampled = plan.amplification != dp::AmplificationMode::kOff &&
-                          plan.sampling_rate < 1.0;
+  const double rate = plan.sampling_rate.value_or(1.0);
+  const bool subsampled = rate < 1.0;
   std::optional<Dataset> subsample;
   if (subsampled) {
     std::vector<std::size_t> keep;
     keep.reserve(static_cast<std::size_t>(
-        plan.sampling_rate * static_cast<double>(n) * 1.1) + 16);
+        rate * static_cast<double>(n) * 1.1) + 16);
     for (std::size_t i = 0; i < n; ++i) {
-      if (ctx.rng->Bernoulli(plan.sampling_rate)) {
+      if (ctx.rng->Bernoulli(rate)) {
         keep.push_back(i);
       }
     }
@@ -721,14 +668,12 @@ Status ReleaseStage::Run(QueryContext& ctx) const {
   metrics_->block_count->Set(static_cast<double>(report.num_blocks));
   metrics_->block_size->Set(static_cast<double>(report.block_size));
   metrics_->gamma->Set(static_cast<double>(report.gamma));
-  const bool amplified = plan.amplification != dp::AmplificationMode::kOff;
   if (ctx.trace != nullptr) {
-    ctx.trace->SetGauge("epsilon_charged",
-                        amplified ? plan.epsilon_charged : plan.epsilon_total);
+    ctx.trace->SetGauge("epsilon_charged", report.epsilon_spent);
     ctx.trace->SetGauge("epsilon_saf_per_dim", plan.epsilon_saf_per_dim);
-    if (amplified) {
+    if (plan.sampling_rate.has_value()) {
       ctx.trace->SetGauge("epsilon_raw", plan.epsilon_total);
-      ctx.trace->SetGauge("sampling_rate", plan.sampling_rate);
+      ctx.trace->SetGauge("sampling_rate", *plan.sampling_rate);
     }
     ctx.trace->SetGauge("noise_scale", max_noise_scale);
     ctx.trace->SetGauge("block_count", static_cast<double>(report.num_blocks));

@@ -4,61 +4,21 @@
 
 namespace gupt {
 namespace dp {
-namespace {
-
-Status ValidateInputs(double epsilon, double rate, const char* what) {
-  if (!std::isfinite(epsilon) || epsilon <= 0.0) {
-    return Status::InvalidArgument(std::string(what) +
-                                   " requires a finite epsilon > 0");
-  }
-  if (!std::isfinite(rate) || rate <= 0.0 || rate > 1.0) {
-    return Status::InvalidArgument(std::string(what) +
-                                   " requires a sampling rate in (0, 1]");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-const char* AmplificationModeToString(AmplificationMode mode) {
-  switch (mode) {
-    case AmplificationMode::kOff:
-      return "off";
-    case AmplificationMode::kRawEpsilon:
-      return "raw_epsilon";
-    case AmplificationMode::kChargedEpsilon:
-      return "charged_epsilon";
-  }
-  return "off";
-}
-
-Result<AmplificationMode> ParseAmplificationMode(const std::string& name) {
-  if (name == "off") return AmplificationMode::kOff;
-  if (name == "raw_epsilon" || name == "raw" || name == "on") {
-    return AmplificationMode::kRawEpsilon;
-  }
-  if (name == "charged_epsilon" || name == "charged") {
-    return AmplificationMode::kChargedEpsilon;
-  }
-  return Status::InvalidArgument("unknown amplification mode '" + name +
-                                 "' (want off|raw_epsilon|charged_epsilon)");
-}
 
 Result<double> AmplifiedEpsilon(double epsilon, double rate) {
-  Status valid = ValidateInputs(epsilon, rate, "AmplifiedEpsilon");
-  if (!valid.ok()) return valid;
+  if (!std::isfinite(epsilon) || epsilon <= 0.0) {
+    return Status::InvalidArgument(
+        "AmplifiedEpsilon requires a finite epsilon > 0");
+  }
+  if (!std::isfinite(rate) || rate <= 0.0 || rate > 1.0) {
+    return Status::InvalidArgument(
+        "AmplifiedEpsilon requires a sampling rate in (0, 1]");
+  }
   // rate == 1 must reproduce epsilon to the last bit: log1p(expm1(x)) is
   // not the identity in floating point, and the golden tests pin the
   // gamma = 1 charge to exactly the declared epsilon.
   if (rate == 1.0) return epsilon;
   return std::log1p(rate * std::expm1(epsilon));
-}
-
-Result<double> RawEpsilonForAmplified(double epsilon_prime, double rate) {
-  Status valid = ValidateInputs(epsilon_prime, rate, "RawEpsilonForAmplified");
-  if (!valid.ok()) return valid;
-  if (rate == 1.0) return epsilon_prime;
-  return std::log1p(std::expm1(epsilon_prime) / rate);
 }
 
 }  // namespace dp

@@ -21,64 +21,24 @@
 // exactly what already justifies calibrating noise at the raw epsilon —
 // charging the amplified epsilon' for it would undercharge the real
 // privacy loss by ~1/gamma. The runtime therefore only enables
-// amplification by *changing the mechanism*: under any non-off mode the
-// pipeline draws a Bernoulli(gamma) subsample of the dataset first,
-// partitions only the subsample, and aggregates only over it
-// (PartitionStage in core/pipeline/stages.cc). Nothing outside the
+// amplification by *changing the mechanism*: when a query declares a
+// sampling rate, the pipeline draws a Bernoulli(gamma) subsample of the
+// dataset first, partitions only the subsample, and aggregates only over
+// it (PartitionStage in core/pipeline/stages.cc). Nothing outside the
 // subsample is ever read, so the lemma applies to the whole release.
 //
-// This module is pure math: the closed form, its inverse (so an analyst
-// target epsilon' can be mapped back to the raw epsilon the chambers must
-// run at), and the mode enum threaded from QuerySpec to the ledger. The
-// charging policy itself lives in core/pipeline (PlanStage converts,
-// AdmitStage charges, PartitionStage subsamples) — see
-// docs/amplification.md.
+// This module is pure math: the closed form and its argument checks. The
+// charging policy itself lives in core/pipeline (PlanStage lays the block
+// geometry out against the subsample, AdmitStage charges, PartitionStage
+// subsamples) — see docs/amplification.md.
 
 #ifndef GUPT_DP_AMPLIFICATION_H_
 #define GUPT_DP_AMPLIFICATION_H_
-
-#include <string>
 
 #include "common/status.h"
 
 namespace gupt {
 namespace dp {
-
-/// How a query's declared epsilon relates to the ledger charge.
-enum class AmplificationMode {
-  /// Pre-amplification behaviour: no subsampling; the declared epsilon is
-  /// both the noise calibration and the ledger charge. Bit-identical to
-  /// the historical pipeline (golden-pinned).
-  kOff = 0,
-  /// The declared epsilon is the *raw* epsilon of the mechanism run on a
-  /// Bernoulli(rate) subsample of the data: noise is calibrated at the
-  /// declared value, and the ledger is charged the amplified
-  /// epsilon' = AmplifiedEpsilon(epsilon, rate).
-  kRawEpsilon,
-  /// The declared epsilon is the *target charge* epsilon': the ledger is
-  /// debited exactly the declared value, and the subsampled mechanism
-  /// runs at the larger raw epsilon = RawEpsilonForAmplified(epsilon',
-  /// rate). The derived raw epsilon is unbounded as rate -> 0, so
-  /// PlanStage rejects conversions above
-  /// QuerySpec::amplification_raw_epsilon_cap.
-  kChargedEpsilon,
-};
-
-/// Default ceiling on the raw epsilon kChargedEpsilon may derive
-/// (QuerySpec::amplification_raw_epsilon_cap). Without a cap, a small
-/// sampling rate converts a modest declared charge into an arbitrarily
-/// large per-query raw epsilon (rate 0.005 at epsilon' = 1 gives raw
-/// epsilon ~5.8); the cap keeps any single release's worst-case leak on
-/// the subsample bounded.
-inline constexpr double kDefaultRawEpsilonCap = 4.0;
-
-/// Short stable name ("off", "raw_epsilon", "charged_epsilon") used in
-/// /budgetz, audit records, CLI output, and trace annotations.
-const char* AmplificationModeToString(AmplificationMode mode);
-
-/// Parses the names produced by AmplificationModeToString (plus the CLI
-/// shorthands "raw" and "charged"). Returns kInvalidArgument otherwise.
-Result<AmplificationMode> ParseAmplificationMode(const std::string& name);
 
 /// The amplified charge epsilon' = ln(1 + rate * (e^epsilon - 1)) for a
 /// mechanism whose release depends only on a Bernoulli(rate) subsample
@@ -88,15 +48,6 @@ Result<AmplificationMode> ParseAmplificationMode(const std::string& name);
 /// precisely what it would uncharged. Requires epsilon finite and > 0,
 /// and rate in (0, 1].
 Result<double> AmplifiedEpsilon(double epsilon, double rate);
-
-/// The inverse map: the raw epsilon the subsampled mechanism must run at
-/// so that the amplified charge equals `epsilon_prime` under sampling
-/// rate `rate`, i.e. epsilon = ln(1 + (e^epsilon' - 1) / rate). rate == 1
-/// returns `epsilon_prime` exactly. Requires epsilon_prime finite and
-/// > 0, and rate in (0, 1]. Pure math — callers converting a charge into
-/// a calibration (PlanStage) must additionally enforce a raw-epsilon cap,
-/// because the result grows without bound as rate -> 0.
-Result<double> RawEpsilonForAmplified(double epsilon_prime, double rate);
 
 }  // namespace dp
 }  // namespace gupt

@@ -899,10 +899,7 @@ Result<QueryReport> GuptService::Execute(const QueryRequest& request) {
   spec.optimize_block_size = request.optimize_block_size;
   spec.gamma = request.gamma;
   spec.records_per_user = request.records_per_user;
-  spec.amplification = request.amplification.value_or(options_.amplification);
-  spec.amplification_rate = request.amplification_rate.has_value()
-                                ? request.amplification_rate
-                                : options_.amplification_rate;
+  spec.amplification_rate = request.amplification_rate;
   if (chamber_pool_ != nullptr) {
     // Every registry program is resolvable inside the workers (they
     // captured a copy of the same registry), so pooled execution applies
@@ -912,7 +909,7 @@ Result<QueryReport> GuptService::Execute(const QueryRequest& request) {
   return runtime_->Execute(request.dataset, spec);
 }
 
-std::string GuptService::CacheKey(const QueryRequest& request) const {
+std::string GuptService::CacheKey(const QueryRequest& request) {
   if (!request.epsilon.has_value()) return "";  // goal-driven: not cacheable
   std::ostringstream key;
   key.precision(17);
@@ -928,12 +925,7 @@ std::string GuptService::CacheKey(const QueryRequest& request) const {
   key << '\x1f' << (request.block_size ? *request.block_size : 0) << '\x1f'
       << request.optimize_block_size << '\x1f' << request.gamma << '\x1f'
       << request.records_per_user << '\x1f'
-      << static_cast<int>(
-             request.amplification.value_or(options_.amplification));
-  const std::optional<double> rate = request.amplification_rate.has_value()
-                                         ? request.amplification_rate
-                                         : options_.amplification_rate;
-  key << '\x1f' << (rate ? *rate : -1.0);
+      << request.amplification_rate.value_or(-1.0);
   return key.str();
 }
 
@@ -1068,11 +1060,9 @@ Result<QueryReport> GuptService::ProcessQuery(const QueryRequest& request) {
   record.from_cache = from_cache;
   if (outcome.ok() && !from_cache) {
     record.epsilon_charged = outcome->epsilon_spent;
-    record.amplification =
-        dp::AmplificationModeToString(outcome->amplification);
     record.sampling_rate = outcome->sampling_rate;
     record.epsilon_raw = outcome->epsilon_raw;
-    if (outcome->amplification != dp::AmplificationMode::kOff) {
+    if (outcome->sampling_rate.has_value()) {
       std::lock_guard<std::mutex> lock(amplification_mu_);
       AmplificationStats& stats = amplification_stats_[request.dataset];
       stats.queries += 1;

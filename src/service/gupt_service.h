@@ -31,7 +31,6 @@
 #include "common/thread_pool.h"
 #include "core/gupt.h"
 #include "data/dataset_manager.h"
-#include "dp/amplification.h"
 #include "exec/chamber_pool.h"
 #include "obs/introspect/http_server.h"
 #include "obs/introspect/trace_ring.h"
@@ -124,16 +123,6 @@ struct ServiceOptions {
   /// The built-in budget_exhaustion_imminent alert fires when any
   /// dataset's forecasted time-to-exhaustion is at or below this horizon.
   double budget_alert_horizon_seconds = 600.0;
-  /// Default amplification-by-sampling charging mode for analyst queries
-  /// (dp/amplification.h); a request may override it. kOff keeps the
-  /// historical ledger behaviour bit-for-bit. Any non-off mode changes
-  /// the mechanism: queries run on a Bernoulli subsample, so a default
-  /// amplification_rate (or per-request override) is required too.
-  dp::AmplificationMode amplification = dp::AmplificationMode::kOff;
-  /// Default Bernoulli rate of the amplification subsample, in (0, 1];
-  /// forwarded to QuerySpec::amplification_rate when a query resolves to
-  /// a non-off mode and the request carries no rate of its own.
-  std::optional<double> amplification_rate;
 };
 
 /// One analyst query, expressed entirely in data (no code crosses the
@@ -160,12 +149,9 @@ struct QueryRequest {
   bool optimize_block_size = false;
   std::size_t gamma = 1;
   std::size_t records_per_user = 1;
-  /// Per-request amplification mode; unset inherits the service default
-  /// (ServiceOptions::amplification).
-  std::optional<dp::AmplificationMode> amplification;
-  /// Per-request Bernoulli subsample rate; unset inherits the service
-  /// default (ServiceOptions::amplification_rate). Required (here or as
-  /// the service default) whenever the resolved mode is not off.
+  /// Amplification-by-sampling rate, forwarded to
+  /// QuerySpec::amplification_rate: set, the query runs on a
+  /// Bernoulli(rate) subsample and is charged the amplified epsilon'.
   std::optional<double> amplification_rate;
 };
 
@@ -177,11 +163,11 @@ struct AuditRecord {
   std::string program;
   double epsilon_requested = 0.0;  // 0 when goal-driven
   double epsilon_charged = 0.0;    // 0 when refused or cache-served
-  /// Amplification-by-sampling facts of the execution ("off" when the
-  /// historical charging path ran; rate/raw are 0 when refused or
+  /// Amplification-by-sampling facts of the execution: the subsample
+  /// rate (unset when the query ran on the full data, was refused or was
+  /// cache-served) and the raw epsilon of the noise (0 when refused or
   /// cache-served).
-  std::string amplification = "off";
-  double sampling_rate = 0.0;
+  std::optional<double> sampling_rate;
   double epsilon_raw = 0.0;
   bool accepted = false;
   bool from_cache = false;
@@ -343,7 +329,10 @@ class GuptService {
   /// Running amplification aggregates for one dataset, as served inside
   /// /budgetz: how many queries were charged under amplification, the raw
   /// epsilon their noise was calibrated at, and the amplified epsilon'
-  /// actually debited. epsilon_saved() is the ledger's gain.
+  /// actually debited. epsilon_saved() is the ledger's gain. The counts
+  /// live in memory and cover the queries amplified since this service
+  /// started: the ledger file records each charge but not its raw
+  /// epsilon, so RestoreLedger() restores the spend, not these totals.
   struct AmplificationStats {
     std::size_t queries = 0;
     double epsilon_raw = 0.0;
@@ -430,9 +419,8 @@ class GuptService {
 
   /// Canonical cache key for a request; empty when the request is not
   /// cacheable (goal-driven queries re-solve epsilon from aged data, so
-  /// they are executed fresh each time). Non-static: the key folds in the
-  /// resolved amplification mode, whose default is a service option.
-  std::string CacheKey(const QueryRequest& request) const;
+  /// they are executed fresh each time).
+  static std::string CacheKey(const QueryRequest& request);
 
   /// Cache lookup; refreshes the entry's LRU position on a hit.
   std::optional<QueryReport> CacheLookup(const std::string& key);

@@ -252,8 +252,8 @@ TEST(PipelineGoldenTest, GammaResamplingWithExplicitBlockSize) {
 }
 
 TEST(PipelineGoldenTest, AmplificationOffIsTheHistoricalPathBitForBit) {
-  // Amplification lands as strictly opt-in: a spec that says kOff (the
-  // default) must release the exact TightMode golden AND charge the exact
+  // Amplification lands as strictly opt-in: a spec without a sampling rate
+  // (the default) must release the exact TightMode golden AND charge the exact
   // historical ledger — same RNG consumption, same arithmetic, same bits.
   DatasetManager manager;
   RegisterAges(manager, 10.0, /*with_input_ranges=*/true);
@@ -262,7 +262,6 @@ TEST(PipelineGoldenTest, AmplificationOffIsTheHistoricalPathBitForBit) {
   spec.program = analytics::MeanQuery(0);
   spec.epsilon = 2.0;
   spec.range = OutputRangeSpec::Tight({Range{0.0, 150.0}});
-  spec.amplification = dp::AmplificationMode::kOff;
   auto report = runtime.Execute("ds", spec);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->epsilon_spent, 2.0);
@@ -273,7 +272,7 @@ TEST(PipelineGoldenTest, AmplificationOffIsTheHistoricalPathBitForBit) {
 }
 
 TEST(PipelineGoldenTest, AmplificationOnSubsamplesAndDiscountsTheLedger) {
-  // Raw-epsilon amplification CHANGES THE MECHANISM: the query runs on a
+  // Amplification CHANGES THE MECHANISM: the query runs on a
   // Bernoulli(0.25) subsample (so the released value differs from the
   // full-data TightMode golden — it is pinned to its own golden below),
   // the block geometry is laid out against the expected subsample size
@@ -286,7 +285,6 @@ TEST(PipelineGoldenTest, AmplificationOnSubsamplesAndDiscountsTheLedger) {
   spec.program = analytics::MeanQuery(0);
   spec.epsilon = 2.0;
   spec.range = OutputRangeSpec::Tight({Range{0.0, 150.0}});
-  spec.amplification = dp::AmplificationMode::kRawEpsilon;
   spec.amplification_rate = 0.25;
   auto report = runtime.Execute("ds", spec);
   ASSERT_TRUE(report.ok()) << report.status();
@@ -309,7 +307,7 @@ TEST(PipelineGoldenTest, AmplificationAtFullRateChargesExactlyEpsilon) {
   // rate == 1.0 skips the subsample draw (no extra RNG consumption), so
   // the amplified charge degenerates to the declared epsilon EXACTLY (the
   // identity is a bit-exact early return, not a computed log), and the
-  // release matches the off-mode run of the identical query bit-for-bit.
+  // release matches the unamplified run of the identical query bit-for-bit.
   QuerySpec spec;
   spec.program = analytics::MeanQuery(0);
   spec.epsilon = 2.0;
@@ -318,14 +316,12 @@ TEST(PipelineGoldenTest, AmplificationAtFullRateChargesExactlyEpsilon) {
   DatasetManager off_manager;
   RegisterAges(off_manager, 10.0, /*with_input_ranges=*/true);
   GuptRuntime off_runtime(&off_manager, GuptOptions{});
-  spec.amplification = dp::AmplificationMode::kOff;
   auto off = off_runtime.Execute("ds", spec);
   ASSERT_TRUE(off.ok()) << off.status();
 
   DatasetManager on_manager;
   RegisterAges(on_manager, 10.0, /*with_input_ranges=*/true);
   GuptRuntime on_runtime(&on_manager, GuptOptions{});
-  spec.amplification = dp::AmplificationMode::kRawEpsilon;
   spec.amplification_rate = 1.0;
   auto on = on_runtime.Execute("ds", spec);
   ASSERT_TRUE(on.ok()) << on.status();

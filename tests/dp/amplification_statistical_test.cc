@@ -7,10 +7,9 @@
 //  1. A closed-form unit grid: epsilon'(rate, epsilon) agrees with
 //     ln(1 + rate * (e^eps - 1)) to 1e-12 relative error across eleven
 //     decades of epsilon, including the rate -> 1 limit (bit-exact
-//     identity) and the epsilon -> 0 limit (epsilon' -> rate * epsilon),
-//     and the inverse map round-trips.
-//  2. A KS acceptance test on the real pipeline: with amplification in
-//     raw-epsilon mode, the release runs on a Bernoulli(rate) subsample
+//     identity) and the epsilon -> 0 limit (epsilon' -> rate * epsilon).
+//  2. A KS acceptance test on the real pipeline: with a declared sampling
+//     rate, the release runs on a Bernoulli(rate) subsample
 //     partitioned into a plan-time-fixed block count, and its noise is
 //     distributed exactly as the raw-epsilon Laplace calibration
 //     predicts — the ledger debit shrinks, the noise does not.
@@ -20,13 +19,15 @@
 //     rejected by the same KS test at alpha = 1e-6.
 //
 // Plus the soundness guard rails from the review of the original design:
-// amplification without an explicit rate, with resampling (gamma > 1),
-// in shared-budget batches, or with a charged-mode raw epsilon above the
-// cap are all refused before any budget is charged.
+// amplification with an out-of-range rate, with resampling (gamma > 1),
+// in helper mode, or in shared-budget batches is refused before any
+// budget is charged.
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,9 +80,6 @@ TEST(AmplificationGridTest, RateOneIsBitExactIdentity) {
     auto amplified = dp::AmplifiedEpsilon(eps, 1.0);
     ASSERT_TRUE(amplified.ok());
     EXPECT_EQ(amplified.value(), eps);  // exact, not just close
-    auto raw = dp::RawEpsilonForAmplified(eps, 1.0);
-    ASSERT_TRUE(raw.ok());
-    EXPECT_EQ(raw.value(), eps);
   }
 }
 
@@ -99,41 +97,12 @@ TEST(AmplificationGridTest, SmallEpsilonLimitIsRateTimesEpsilon) {
   }
 }
 
-TEST(AmplificationGridTest, InverseRoundTripsTo1e12) {
-  const double rates[] = {1e-4, 0.003, 0.01, 0.1, 0.5, 0.999, 1.0};
-  const double epsilons[] = {1e-6, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0};
-  for (double rate : rates) {
-    for (double eps : epsilons) {
-      auto amplified = dp::AmplifiedEpsilon(eps, rate);
-      ASSERT_TRUE(amplified.ok());
-      auto back = dp::RawEpsilonForAmplified(amplified.value(), rate);
-      ASSERT_TRUE(back.ok());
-      EXPECT_NEAR(back.value(), eps, 1e-12 * std::max(1.0, eps))
-          << "rate=" << rate << " eps=" << eps;
-    }
-  }
-}
-
 TEST(AmplificationGridTest, RejectsInvalidArguments) {
   EXPECT_FALSE(dp::AmplifiedEpsilon(0.0, 0.5).ok());
   EXPECT_FALSE(dp::AmplifiedEpsilon(-1.0, 0.5).ok());
   EXPECT_FALSE(dp::AmplifiedEpsilon(1.0, 0.0).ok());
   EXPECT_FALSE(dp::AmplifiedEpsilon(1.0, 1.5).ok());
   EXPECT_FALSE(dp::AmplifiedEpsilon(1.0, -0.1).ok());
-  EXPECT_FALSE(dp::RawEpsilonForAmplified(0.0, 0.5).ok());
-  EXPECT_FALSE(dp::RawEpsilonForAmplified(1.0, 0.0).ok());
-}
-
-TEST(AmplificationGridTest, ModeNamesRoundTrip) {
-  for (dp::AmplificationMode mode :
-       {dp::AmplificationMode::kOff, dp::AmplificationMode::kRawEpsilon,
-        dp::AmplificationMode::kChargedEpsilon}) {
-    auto parsed =
-        dp::ParseAmplificationMode(dp::AmplificationModeToString(mode));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), mode);
-  }
-  EXPECT_FALSE(dp::ParseAmplificationMode("boosted").ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -162,24 +131,21 @@ double RawScale() {
   return kWidth / (static_cast<double>(kNumBlocks) * kEpsilon);
 }
 
-QuerySpec ConstantMeanSpec(dp::AmplificationMode mode) {
+QuerySpec ConstantMeanSpec(std::optional<double> amplification_rate) {
   QuerySpec spec;
   spec.program = analytics::MeanQuery(0);
   spec.epsilon = kEpsilon;
   spec.block_size = kBlockSize;
   spec.range = OutputRangeSpec::Tight({Range{0.0, kWidth}});
-  spec.amplification = mode;
-  if (mode != dp::AmplificationMode::kOff) {
-    spec.amplification_rate = kRate;
-  }
+  spec.amplification_rate = amplification_rate;
   return spec;
 }
 
-std::vector<double> ReleasedNoise(dp::AmplificationMode mode) {
+std::vector<double> ReleasedNoise(std::optional<double> amplification_rate) {
   DatasetManager manager;
   DatasetOptions options;
   // Amplified, each query charges ~0.28; 2000 queries need ~562. The
-  // budget is sized so an off-mode run (0.5 each) would also fit.
+  // budget is sized so an unamplified run (0.5 each) would also fit.
   options.total_epsilon = 2000.0;
   std::vector<double> constant(kRows, kValue);
   EXPECT_TRUE(
@@ -190,7 +156,7 @@ std::vector<double> ReleasedNoise(dp::AmplificationMode mode) {
   GuptRuntime runtime(&manager, runtime_options);
   std::vector<double> noise;
   noise.reserve(kSamples);
-  QuerySpec spec = ConstantMeanSpec(mode);
+  QuerySpec spec = ConstantMeanSpec(amplification_rate);
   for (int i = 0; i < kSamples; ++i) {
     auto report = runtime.Execute("const", spec);
     EXPECT_TRUE(report.ok()) << report.status();
@@ -201,7 +167,7 @@ std::vector<double> ReleasedNoise(dp::AmplificationMode mode) {
 }
 
 TEST(AmplificationStatisticalTest, ReleasedNoiseMatchesRawCalibration) {
-  std::vector<double> noise = ReleasedNoise(dp::AmplificationMode::kRawEpsilon);
+  std::vector<double> noise = ReleasedNoise(kRate);
   ASSERT_EQ(noise.size(), static_cast<std::size_t>(kSamples));
   const double scale = RawScale();
   statutil::GofResult fit = statutil::KsTest(
@@ -212,7 +178,7 @@ TEST(AmplificationStatisticalTest, ReleasedNoiseMatchesRawCalibration) {
 
 TEST(AmplificationStatisticalTest, FullRateReleaseIsBitIdenticalToOff) {
   // rate == 1.0 skips the subsample draw entirely, so with the same seed
-  // a full-rate amplified query must release exactly the off-mode values
+  // a full-rate amplified query must release exactly the unamplified values
   // (and AmplifiedEpsilon(eps, 1) == eps makes the charge identical too).
   DatasetManager manager;
   DatasetOptions options;
@@ -221,9 +187,8 @@ TEST(AmplificationStatisticalTest, FullRateReleaseIsBitIdenticalToOff) {
   ASSERT_TRUE(
       manager.Register("const", Dataset::FromColumn(constant).value(), options)
           .ok());
-  QuerySpec off = ConstantMeanSpec(dp::AmplificationMode::kOff);
-  QuerySpec on = ConstantMeanSpec(dp::AmplificationMode::kRawEpsilon);
-  on.amplification_rate = 1.0;
+  QuerySpec off = ConstantMeanSpec(std::nullopt);
+  QuerySpec on = ConstantMeanSpec(1.0);
   for (int i = 0; i < 16; ++i) {
     GuptOptions runtime_options;
     runtime_options.seed = kNoiseSeed + static_cast<std::uint64_t>(i);
@@ -280,7 +245,7 @@ TEST(AmplificationStatisticalTest, AmplifiedChargeIsExactOnTheLedger) {
   GuptOptions runtime_options;
   runtime_options.seed = kNoiseSeed;
   GuptRuntime runtime(&manager, runtime_options);
-  QuerySpec spec = ConstantMeanSpec(dp::AmplificationMode::kRawEpsilon);
+  QuerySpec spec = ConstantMeanSpec(kRate);
   const double per_query = dp::AmplifiedEpsilon(kEpsilon, kRate).value();
   double expected_spent = 0.0;
   for (int i = 0; i < 32; ++i) {
@@ -289,38 +254,11 @@ TEST(AmplificationStatisticalTest, AmplifiedChargeIsExactOnTheLedger) {
     EXPECT_EQ(report->epsilon_spent, per_query);
     EXPECT_EQ(report->epsilon_raw, kEpsilon);
     EXPECT_EQ(report->sampling_rate, kRate);
-    EXPECT_EQ(report->amplification, dp::AmplificationMode::kRawEpsilon);
     expected_spent += per_query;
   }
   auto ds = manager.Get("const");
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ((*ds)->accountant().Totals().spent_epsilon, expected_spent);
-}
-
-TEST(AmplificationStatisticalTest, ChargedModeRunsAtTheInverseRawEpsilon) {
-  // Target-charge mode: the ledger sees exactly the declared epsilon and
-  // the noise runs at the (larger) inverse-mapped raw epsilon.
-  DatasetManager manager;
-  DatasetOptions options;
-  options.total_epsilon = 100.0;
-  std::vector<double> constant(kRows, kValue);
-  ASSERT_TRUE(
-      manager.Register("const", Dataset::FromColumn(constant).value(), options)
-          .ok());
-  GuptOptions runtime_options;
-  runtime_options.seed = kNoiseSeed;
-  GuptRuntime runtime(&manager, runtime_options);
-  QuerySpec spec = ConstantMeanSpec(dp::AmplificationMode::kChargedEpsilon);
-  auto report = runtime.Execute("const", spec);
-  ASSERT_TRUE(report.ok()) << report.status();
-  const double raw = dp::RawEpsilonForAmplified(kEpsilon, kRate).value();
-  EXPECT_EQ(report->epsilon_spent, kEpsilon);
-  EXPECT_EQ(report->epsilon_raw, raw);
-  EXPECT_GT(report->epsilon_raw, kEpsilon);
-  EXPECT_LE(report->epsilon_raw, dp::kDefaultRawEpsilonCap);
-  auto ds = manager.Get("const");
-  ASSERT_TRUE(ds.ok());
-  EXPECT_EQ((*ds)->accountant().Totals().spent_epsilon, kEpsilon);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,53 +297,43 @@ class AmplificationRejectionTest : public ::testing::Test {
   std::unique_ptr<GuptRuntime> runtime_;
 };
 
-TEST_F(AmplificationRejectionTest, RequiresAnExplicitRate) {
-  QuerySpec spec = ConstantMeanSpec(dp::AmplificationMode::kRawEpsilon);
-  spec.amplification_rate.reset();  // the rate is never inferred
-  ExpectRefusedUncharged(spec);
-}
-
 TEST_F(AmplificationRejectionTest, RejectsOutOfRangeRates) {
-  for (double bad : {0.0, -0.25, 1.5}) {
-    QuerySpec spec = ConstantMeanSpec(dp::AmplificationMode::kRawEpsilon);
-    spec.amplification_rate = bad;
-    ExpectRefusedUncharged(spec);
+  for (double bad : {0.0, -0.25, 1.5,
+                     std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    ExpectRefusedUncharged(ConstantMeanSpec(bad));
   }
 }
 
 TEST_F(AmplificationRejectionTest, RejectsResampling) {
   // gamma > 1 would tie the block count to the realised subsample size,
   // breaking the fixed-geometry sensitivity argument.
-  QuerySpec spec = ConstantMeanSpec(dp::AmplificationMode::kRawEpsilon);
+  QuerySpec spec = ConstantMeanSpec(kRate);
   spec.gamma = 3;
   ExpectRefusedUncharged(spec);
 }
 
-TEST_F(AmplificationRejectionTest, CapsTheChargedModeRawEpsilon) {
-  // rate 0.005 at a declared charge of 1 inverts to raw epsilon ~5.84,
-  // above the default cap of 4 — the query must be refused rather than
-  // silently released with far-less-noisy output.
-  QuerySpec spec = ConstantMeanSpec(dp::AmplificationMode::kChargedEpsilon);
-  spec.epsilon = 1.0;
-  spec.block_size.reset();
-  spec.amplification_rate = 0.005;
-  const double raw = dp::RawEpsilonForAmplified(1.0, 0.005).value();
-  ASSERT_GT(raw, dp::kDefaultRawEpsilonCap);
+TEST_F(AmplificationRejectionTest, RejectsHelperMode) {
+  // Helper mode estimates input ranges from every record, not just the
+  // subsample, so the release would no longer depend on the subsample
+  // alone. The translator ignores its estimates: only the mode matters.
+  QuerySpec spec = ConstantMeanSpec(kRate);
+  spec.range = OutputRangeSpec::Helper(
+      [](const std::vector<Range>&) -> Result<std::vector<Range>> {
+        return std::vector<Range>{Range{0.0, kWidth}};
+      },
+      /*loose_input_ranges=*/{Range{0.0, kWidth}});
   ExpectRefusedUncharged(spec);
-}
-
-TEST_F(AmplificationRejectionTest, ChargedModeRequiresAnExplicitEpsilon) {
-  QuerySpec spec = ConstantMeanSpec(dp::AmplificationMode::kChargedEpsilon);
-  spec.epsilon.reset();
-  AccuracyGoal goal;
-  goal.rho = 0.9;
-  goal.delta = 0.1;
-  spec.accuracy_goal = goal;
-  ExpectRefusedUncharged(spec);
+  // The unamplified twin runs and is charged: the rate alone causes the
+  // refusal above.
+  spec.amplification_rate.reset();
+  auto report = runtime_->Execute("const", spec);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->epsilon_spent, kEpsilon);
 }
 
 TEST_F(AmplificationRejectionTest, SharedBudgetBatchesRejectAmplification) {
-  QuerySpec spec = ConstantMeanSpec(dp::AmplificationMode::kRawEpsilon);
+  QuerySpec spec = ConstantMeanSpec(kRate);
   spec.epsilon.reset();  // shared-budget queries leave epsilon unset
   auto reports = runtime_->ExecuteWithSharedBudget("const", {spec}, 1.0);
   ASSERT_FALSE(reports.ok());

@@ -69,7 +69,6 @@ QueryRequest AmplifiedMeanRequest() {
   request.range_mode = RangeMode::kTight;
   request.output_ranges = {Range{0.0, 150.0}};
   request.block_size = kBlockSize;
-  request.amplification = dp::AmplificationMode::kRawEpsilon;
   request.amplification_rate = kRate;
   return request;
 }
@@ -271,9 +270,9 @@ TEST_F(AmplificationFaultTest, CalibrateFaultIsPreAdmission) {
 }
 
 TEST_F(AmplificationFaultTest, AmplifySitesAreNotEvaluatedWhenOff) {
-  // The amplify failpoints sit on the amplified path only: the historical
-  // charging path must not even evaluate them (off-mode stays bit-for-bit
-  // identical, failpoint hit counters included).
+  // The amplify failpoints sit on the amplified path only: a query without
+  // a rate must not even evaluate them (the unamplified path stays
+  // bit-for-bit identical, failpoint hit counters included).
   Config config;
   config.every_nth = 1;
   ScopedFailpoint fp_charge("core.amplify.charge", config);
@@ -283,7 +282,7 @@ TEST_F(AmplificationFaultTest, AmplifySitesAreNotEvaluatedWhenOff) {
   auto service = MakeService(options, /*budget=*/10.0);
 
   QueryRequest request = AmplifiedMeanRequest();
-  request.amplification = dp::AmplificationMode::kOff;
+  request.amplification_rate.reset();
   auto report = service->SubmitQuery(request);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->epsilon_spent, kEpsilon);  // raw charge, no discount

@@ -5,17 +5,16 @@ Drives the built gupt_cli binary the way an operator would:
 
   1. writes a small CSV dataset,
   2. runs `gupt_cli query --serve=0 --workers 4 --metrics-out=...` with
-     `--amplification=raw --amplification-rate=0.25` (ephemeral
-     introspection port, parsed from stdout); resampling (--gamma) is
-     mutually exclusive with amplification and stays covered by the unit
-     suites,
+     `--amplification-rate=0.25` (ephemeral introspection port, parsed
+     from stdout); resampling (--gamma) is mutually exclusive with
+     amplification and stays covered by the unit suites,
   3. while the process holds on stdin, scrapes /healthz, /metrics,
      /budgetz?format=json, /varz, /tracez, /slowz, /timeseriesz,
      /alertz, and a short /profilez capture over a real socket,
   4. lints both the scraped /metrics payload and the --metrics-out file
      with check_metrics_names.py --payload,
-  5. checks the /budgetz ledger arithmetic — the run is amplified, so
-     the spend must be the discounted epsilon' and the per-dataset
+  5. checks the /budgetz ledger arithmetic — the rate alone amplifies the
+     run, so the spend must be the discounted epsilon' and the per-dataset
      amplification aggregates must reconcile with it exactly — and that
      /tracez is valid Chrome trace_event JSON with block spans,
   6. waits for the 100ms time-series collector to tick, then checks
@@ -112,7 +111,7 @@ def main() -> int:
             # (n_mech = 1000 rows -> ~16 default blocks, plenty for the
             # multi-lane assertion below), noise stays at --epsilon, and
             # the ledger is debited epsilon' = ln(1 + rate*(e^eps - 1)).
-            "--amplification=raw", "--amplification-rate=0.25",
+            "--amplification-rate=0.25",
             "--serve=0", f"--metrics-out={metrics_out}",
         ],
         stdin=subprocess.PIPE,
@@ -127,7 +126,7 @@ def main() -> int:
         port = int(re.search(r":(\d+)/", serving).group(1))
         # The query and the metrics file are done before the hold begins;
         # the amplified run must announce its discounted charge.
-        read_line(process, r"amplification\s*:\s*raw_epsilon", deadline)
+        read_line(process, r"amplification\s*:\s*rate=0\.25", deadline)
         read_line(process, r"metrics: written to", deadline)
 
         # --- /healthz -------------------------------------------------------

@@ -1,13 +1,18 @@
 // Micro-benchmarks of the DP substrate: the per-operation costs that
 // determine the runtime's fixed overheads (Figure 6's offsets are made of
-// exactly these pieces).
+// exactly these pieces), plus the per-block cost of the analysis programs
+// a pooled ML query runs once per block.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "analytics/kmeans.h"
+#include "analytics/linear_regression.h"
+#include "analytics/pca.h"
 #include "common/rng.h"
 #include "data/partitioner.h"
+#include "data/synthetic.h"
 #include "dp/accountant.h"
 #include "dp/laplace.h"
 #include "dp/percentile.h"
@@ -82,6 +87,48 @@ void BM_PartitionResampled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PartitionResampled)->Range(1 << 10, 1 << 16);
+
+// One 450-row block of the life-sciences table, as the partitioner cuts it
+// for a service query over all 26,733 rows (beta = n^0.6).
+Dataset LifeSciencesBlock() {
+  Dataset data = synthetic::LifeSciences({}).value();
+  Rng rng(7);
+  return PartitionResampledView(data, 450, 1, &rng).value().block(0);
+}
+
+// The three block programs with the service benchmark's parameters:
+// k-means k=4 on dims {0,1}, PCA on dims 0-9, OLS of dim 9 on dims 0-8.
+void BM_KMeansBlock(benchmark::State& state) {
+  Dataset block = LifeSciencesBlock();
+  analytics::KMeansOptions options;
+  options.k = 4;
+  options.feature_dims = {0, 1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analytics::RunKMeans(block, options));
+  }
+}
+BENCHMARK(BM_KMeansBlock);
+
+void BM_PcaBlock(benchmark::State& state) {
+  Dataset block = LifeSciencesBlock();
+  analytics::PcaOptions options;
+  options.feature_dims = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analytics::ComputeTopComponent(block, options));
+  }
+}
+BENCHMARK(BM_PcaBlock);
+
+void BM_OlsBlock(benchmark::State& state) {
+  Dataset block = LifeSciencesBlock();
+  analytics::LinearRegressionOptions options;
+  options.feature_dims = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+  options.target_dim = 9;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analytics::FitLinearRegression(block, options));
+  }
+}
+BENCHMARK(BM_OlsBlock);
 
 }  // namespace
 }  // namespace gupt

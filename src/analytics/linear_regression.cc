@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace gupt {
 namespace analytics {
@@ -68,25 +69,31 @@ Result<LinearModel> FitLinearRegression(
     return Status::InvalidArgument("ridge_lambda must be >= 0");
   }
 
-  // Design matrix with a trailing constant column; accumulate X^T X and
-  // X^T y directly (d+1 x d+1, cheap for the small d used here).
+  // Design matrix columns: the features, then a constant 1.0 column (its
+  // products x * 1.0 are the column sums), then the target y. Each entry
+  // of X^T X and X^T y sums its products over the rows in order; only the
+  // upper triangle of X^T X is summed, and IEEE products commute, so the
+  // mirror is bit-identical to summing it too.
   const std::size_t d = options.feature_dims.size() + 1;
-  std::vector<const double*> cols(d - 1);
+  const std::size_t n = data.num_rows();
+  const std::vector<double> ones(n, 1.0);
+  std::vector<const double*> cols(d + 1);
   for (std::size_t i = 0; i + 1 < d; ++i) {
     cols[i] = data.col(options.feature_dims[i]);
   }
-  const double* target = data.col(options.target_dim);
-  std::vector<Row> xtx(d, Row(d, 0.0));
-  Row xty(d, 0.0);
-  Row x(d);
-  for (std::size_t r = 0; r < data.num_rows(); ++r) {
-    for (std::size_t i = 0; i + 1 < d; ++i) x[i] = cols[i][r];
-    x[d - 1] = 1.0;
-    double y = target[r];
-    for (std::size_t i = 0; i < d; ++i) {
-      for (std::size_t j = 0; j < d; ++j) xtx[i][j] += x[i] * x[j];
-      xty[i] += x[i] * y;
+  cols[d - 1] = ones.data();
+  cols[d] = data.col(options.target_dim);
+  std::vector<Row> xtx(d, Row(d));
+  Row xty(d);
+  Row dots(d + 1);
+  for (std::size_t i = 0; i < d; ++i) {
+    // dots = x_i . (x_i, ..., x_{d-1}, y)
+    vec::ColumnDots(cols[i], std::span(cols).subspan(i), n, dots.data());
+    for (std::size_t j = i; j < d; ++j) {
+      xtx[i][j] = dots[j - i];
+      xtx[j][i] = dots[j - i];
     }
+    xty[i] = dots[d - i];
   }
   for (std::size_t i = 0; i + 1 < d; ++i) {
     xtx[i][i] += options.ridge_lambda;  // intercept left undamped

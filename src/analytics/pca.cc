@@ -1,12 +1,19 @@
 #include "analytics/pca.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace gupt {
 namespace analytics {
 namespace {
 
-Result<std::vector<Row>> CovarianceMatrix(
+// Row-major k x k covariance of the `dims` columns. Each column is
+// centred once; each entry sums (c_i - mean_i) * (c_j - mean_j) over the
+// rows in order, so it is bit-identical to a single-accumulator row loop.
+// Only the upper triangle is summed: IEEE products commute, so the mirror
+// cov[j][i] equals cov[i][j] bit for bit.
+Result<std::vector<double>> CovarianceMatrix(
     const Dataset& data, const std::vector<std::size_t>& dims) {
   for (std::size_t d : dims) {
     if (d >= data.num_dims()) {
@@ -15,31 +22,27 @@ Result<std::vector<Row>> CovarianceMatrix(
   }
   const std::size_t k = dims.size();
   const std::size_t n = data.num_rows();
-  // Column-major sums: each accumulator sees the rows in the same order
-  // as the old row-major loops, so the matrix is bit-identical.
-  Row mean(k, 0.0);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  std::vector<double> centred(k * n);
+  std::vector<const double*> cols(k);
   for (std::size_t i = 0; i < k; ++i) {
     const double* ci = data.col(dims[i]);
     double acc = 0.0;
     for (std::size_t r = 0; r < n; ++r) acc += ci[r];
-    mean[i] = acc;
+    const double mean = acc * inv_n;
+    double* zi = centred.data() + i * n;
+    for (std::size_t r = 0; r < n; ++r) zi[r] = ci[r] - mean;
+    cols[i] = zi;
   }
-  vec::ScaleInPlace(&mean, 1.0 / static_cast<double>(n));
 
-  std::vector<Row> cov(k, Row(k, 0.0));
+  std::vector<double> cov(k * k);
   for (std::size_t i = 0; i < k; ++i) {
-    const double* ci = data.col(dims[i]);
-    for (std::size_t j = 0; j < k; ++j) {
-      const double* cj = data.col(dims[j]);
-      double acc = 0.0;
-      for (std::size_t r = 0; r < n; ++r) {
-        acc += (ci[r] - mean[i]) * (cj[r] - mean[j]);
-      }
-      cov[i][j] = acc;
+    double* row = cov.data() + i * k;
+    vec::ColumnDots(cols[i], std::span(cols).subspan(i), n, row + i);
+    for (std::size_t j = i; j < k; ++j) {
+      row[j] *= inv_n;
+      cov[j * k + i] = row[j];
     }
-  }
-  for (Row& row : cov) {
-    vec::ScaleInPlace(&row, 1.0 / static_cast<double>(n));
   }
   return cov;
 }
@@ -64,7 +67,8 @@ Result<PcaResult> ComputeTopComponent(const Dataset& data,
   if (data.num_rows() < 2) {
     return Status::InvalidArgument("PCA needs at least two rows");
   }
-  GUPT_ASSIGN_OR_RETURN(std::vector<Row> cov, CovarianceMatrix(data, dims));
+  GUPT_ASSIGN_OR_RETURN(std::vector<double> cov,
+                        CovarianceMatrix(data, dims));
 
   const std::size_t k = dims.size();
   // Deterministic start: a mildly uneven vector avoids being orthogonal to
@@ -77,10 +81,12 @@ Result<PcaResult> ComputeTopComponent(const Dataset& data,
   vec::ScaleInPlace(&v, 1.0 / norm);
 
   double eigenvalue = 0.0;
+  Row next(k);
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    Row next(k, 0.0);
     for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j < k; ++j) next[i] += cov[i][j] * v[j];
+      double acc = 0.0;
+      for (std::size_t j = 0; j < k; ++j) acc += cov[i * k + j] * v[j];
+      next[i] = acc;
     }
     double next_norm = vec::Norm(next);
     if (next_norm < 1e-15) {
@@ -89,10 +95,18 @@ Result<PcaResult> ComputeTopComponent(const Dataset& data,
       break;
     }
     vec::ScaleInPlace(&next, 1.0 / next_norm);
-    double delta = std::min(vec::SquaredDistance(next, v),
-                            vec::SquaredDistance(vec::Scale(next, -1.0), v));
+    // Distance from v to next and to -next (the same direction).
+    double same = 0.0;
+    double flipped = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      const double d = next[i] - v[i];
+      const double f = -next[i] - v[i];
+      same += d * d;
+      flipped += f * f;
+    }
+    const double delta = std::min(same, flipped);
     eigenvalue = next_norm;
-    v = std::move(next);
+    std::swap(v, next);
     if (delta < options.tolerance) break;
   }
   CanonicalizeSign(&v);

@@ -69,6 +69,28 @@ double ClampScalar(double x, double lo, double hi) {
   return std::min(std::max(x, lo), hi);
 }
 
+void ColumnDots(const double* a, std::span<const double* const> b,
+                std::size_t n, double* out) {
+  for (std::size_t t = 0; t < b.size(); t += 4) {
+    // A short last group repeats its final column; those sums are dropped.
+    const std::size_t last = std::min<std::size_t>(3, b.size() - t - 1);
+    const double* b0 = b[t];
+    const double* b1 = b[t + std::min<std::size_t>(1, last)];
+    const double* b2 = b[t + std::min<std::size_t>(2, last)];
+    const double* b3 = b[t + last];
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const double x = a[r];
+      s0 += x * b0[r];
+      s1 += x * b1[r];
+      s2 += x * b2[r];
+      s3 += x * b3[r];
+    }
+    const double sums[4] = {s0, s1, s2, s3};
+    std::copy_n(sums, last + 1, out + t);
+  }
+}
+
 }  // namespace vec
 
 namespace stats {

@@ -8,6 +8,7 @@
 #define GUPT_COMMON_VEC_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -47,6 +48,13 @@ Row Clamp(const Row& v, const Row& lo, const Row& hi);
 
 /// Clamp a scalar into [lo, hi].
 double ClampScalar(double x, double lo, double hi);
+
+/// Dot products of the length-n column `a` with each column in `b`:
+/// out[t] = sum over r of a[r] * b[t][r], each summed from 0.0 in row
+/// order r = 0..n-1, exactly as a single-accumulator loop would. Four sums
+/// share each pass over the rows so their add chains overlap.
+void ColumnDots(const double* a, std::span<const double* const> b,
+                std::size_t n, double* out);
 
 }  // namespace vec
 

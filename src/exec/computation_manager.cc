@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <utility>
 
 #include "exec/process_chamber.h"
@@ -93,10 +94,20 @@ Result<BlockExecutionReport> ComputationManager::ExecuteOnBlocks(
       run = chamber_.Execute(factory, blocks.block(i), fallback);
     }
     timing.end = std::chrono::steady_clock::now();
-    if (run.ok()) {
-      report.runs[i] = std::move(run).value();
-    } else {
+    if (!run.ok()) {
       statuses[i] = run.status();
+      return;
+    }
+    ChamberRun& out = report.runs[i] = std::move(run).value();
+    // Clamping passes NaN through, and one NaN block would make the
+    // release NaN: substitute the fallback, as for a wrong arity.
+    if (!out.used_fallback &&
+        std::any_of(out.output.begin(), out.output.end(),
+                    [](double x) { return std::isnan(x); })) {
+      out.used_fallback = true;
+      out.output = fallback;
+      out.program_status =
+          Status::NumericalError("program output holds a NaN");
     }
   };
 

@@ -66,7 +66,9 @@ class ComputationManager {
   /// Executes a fresh instance of the program on every block of `blocks`
   /// inside a chamber. Blocks are zero-copy views into the BlockSet's
   /// gathered store. `fallback` is the constant substituted for
-  /// failed/overrun blocks and must match the program's output dimension.
+  /// failed/overrun blocks and for outputs holding a NaN (which the clamp
+  /// would pass through to the release); it must match the program's
+  /// output dimension.
   /// When this manager has a chamber pool and `pool_token` is non-empty,
   /// blocks run on pre-warmed pool workers (the token is resolved inside
   /// the worker); otherwise the in-process or fork-per-block chamber runs

@@ -44,10 +44,10 @@ AuditRecord NewAuditRecord(const std::string& analyst,
 }
 
 /// Serialises a ProgramSpec into the opaque token a pool worker resolves
-/// back through its captured registry. Newline-delimited: program names
-/// and parameter keys/values never contain newlines (they come from
-/// textual request fields), and params is an ordered map so equal specs
-/// produce equal tokens.
+/// back through its captured registry. Newline-delimited, one `key=value`
+/// per line: CheckTokenFields keeps newlines out of every field and '='
+/// out of keys, and params is an ordered map so equal specs produce equal
+/// tokens.
 std::string ProgramToken(const ProgramSpec& spec) {
   std::string token = spec.name;
   for (const auto& [key, value] : spec.params) {
@@ -57,6 +57,23 @@ std::string ProgramToken(const ProgramSpec& spec) {
     token += value;
   }
   return token;
+}
+
+/// A newline in a name, key or value, or an '=' in a key, would make a
+/// pool worker parse a different spec from the one the parent built and
+/// audited (`"x=0\ndim" -> "3"` smuggles in `dim=3`).
+Status CheckTokenFields(const ProgramSpec& spec) {
+  bool bad = spec.name.find('\n') != std::string::npos;
+  for (const auto& [key, value] : spec.params) {
+    bad = bad || key.find_first_of("\n=") != std::string::npos ||
+          value.find('\n') != std::string::npos;
+  }
+  if (bad) {
+    return Status::InvalidArgument(
+        "program name and parameters must not contain a newline, nor a "
+        "parameter key an '='");
+  }
+  return Status::OK();
 }
 
 /// Inverse of ProgramToken, evaluated inside the pool worker.
@@ -877,6 +894,7 @@ Status GuptService::PersistLedger() const {
 }
 
 Result<QueryReport> GuptService::Execute(const QueryRequest& request) {
+  GUPT_RETURN_IF_ERROR(CheckTokenFields(request.program));
   GUPT_ASSIGN_OR_RETURN(ProgramFactory program,
                         registry_.Build(request.program));
   QuerySpec spec;

@@ -22,6 +22,8 @@
 namespace gupt {
 
 /// A textual program request: a registered name plus key=value parameters.
+/// GuptService refuses a name, key or value holding a newline, and a key
+/// holding '=': pool workers receive the spec as `key=value` lines.
 struct ProgramSpec {
   std::string name;
   std::map<std::string, std::string> params;

@@ -227,5 +227,52 @@ TEST_F(GuptModesTest, ReportCarriesTimingAndGeometry) {
   EXPECT_DOUBLE_EQ(report->effective_ranges[0].hi, 150.0);
 }
 
+// The block mean, or NaN when the block holds a value above 0.7.
+ProgramFactory NaNOnOutlier() {
+  return MakeProgramFactory(
+      "nan_on_outlier", 1, [](const Dataset& block) -> Result<Row> {
+        const double* x = block.col(0);
+        double sum = 0.0;
+        for (std::size_t r = 0; r < block.num_rows(); ++r) {
+          if (x[r] > 0.7) return Row{std::nan("")};
+          sum += x[r];
+        }
+        return Row{sum / static_cast<double>(block.num_rows())};
+      });
+}
+
+TEST(NaNBlockOutputTest, OneRecordCannotTurnTheReleaseIntoNaN) {
+  // Neighbours: 2,000 rows of 0.5, and the same with one record of 0.75
+  // whose block returns NaN. The clamp passes NaN through, so without the
+  // fallback the second release is NaN in both modes and the record is
+  // detectable with certainty.
+  for (bool loose : {false, true}) {
+    for (bool with_record : {false, true}) {
+      std::vector<double> values(2000, 0.5);
+      if (with_record) values[1234] = 0.75;
+      DatasetManager manager;
+      DatasetOptions opts;
+      opts.total_epsilon = 10.0;
+      ASSERT_TRUE(
+          manager.Register("d", Dataset::FromColumn(values).value(), opts)
+              .ok());
+      GuptRuntime runtime(&manager, GuptOptions{});
+      QuerySpec spec;
+      spec.program = NaNOnOutlier();
+      spec.epsilon = 1.0;
+      spec.range = loose ? OutputRangeSpec::Loose({Range{0.0, 1.0}})
+                         : OutputRangeSpec::Tight({Range{0.0, 1.0}});
+      auto report = runtime.Execute("d", spec);
+      ASSERT_TRUE(report.ok()) << report.status();
+      const std::string what = std::string(loose ? "loose" : "tight") +
+                               (with_record ? " with" : " without");
+      ASSERT_EQ(report->output.size(), 1u);
+      EXPECT_TRUE(std::isfinite(report->output[0]))
+          << what << ": " << report->output[0];
+      EXPECT_EQ(report->fallback_blocks, with_record ? 1u : 0u) << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gupt

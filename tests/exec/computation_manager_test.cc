@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 #include "common/vec.h"
+#include "obs/metrics.h"
 
 namespace gupt {
 namespace {
@@ -81,6 +85,37 @@ TEST(ComputationManagerTest, CountsFallbacks) {
   EXPECT_EQ(report->fallback_count, 2u);
   EXPECT_EQ(report->Outputs()[0], (Row{-1.0}));
   EXPECT_EQ(report->Outputs()[1], (Row{1.0}));
+}
+
+TEST(ComputationManagerTest, NaNOutputIsAFallback) {
+  // The clamp passes NaN through, so a NaN block output would turn the
+  // release into NaN: it gets the fallback and counts as one. An infinite
+  // output is left to the clamp.
+  const double inf = std::numeric_limits<double>::infinity();
+  auto program = MakeProgramFactory(
+      "nan_on_one", 2, [inf](const Dataset& block) -> Result<Row> {
+        const double x = block.row(0)[0];
+        if (x == 1.0) return Row{0.0, std::nan("")};
+        if (x == 2.0) return Row{inf, 0.0};
+        return Row{x, x};
+      });
+  obs::Counter* fallbacks = obs::MetricsRegistry::Get().GetCounter(
+      "gupt_exec_blocks_total", "Block executions by outcome.",
+      {{"outcome", "fallback"}});
+  const double before = fallbacks->Value();
+  ComputationManager manager(nullptr, ChamberPolicy{});
+  auto report = manager.ExecuteOnBlocks(program, RowBlocks(Counting(3)),
+                                        Row{-1.0, -1.0});
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->fallback_count, 1u);
+  EXPECT_EQ(fallbacks->Value() - before, 1.0);
+  EXPECT_EQ(report->Outputs()[0], (Row{0.0, 0.0}));
+  EXPECT_TRUE(report->runs[1].used_fallback);
+  EXPECT_EQ(report->runs[1].program_status.code(),
+            StatusCode::kNumericalError);
+  EXPECT_EQ(report->Outputs()[1], (Row{-1.0, -1.0}));
+  EXPECT_FALSE(report->runs[2].used_fallback);
+  EXPECT_EQ(report->Outputs()[2], (Row{inf, 0.0}));
 }
 
 TEST(ComputationManagerTest, EmptyPlanRejected) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace gupt {
 namespace {
@@ -202,6 +204,88 @@ TEST_F(GuptServiceTest, FirstBootWithMissingLedgerFileIsFine) {
   GuptService& service = *service_ptr;
   EXPECT_TRUE(service.RestoreLedger().ok());
   std::remove(ledger.c_str());
+}
+
+TEST_F(GuptServiceTest, TokenSmugglingParametersRefusedBeforeCharge) {
+  // A pool worker reads the program back from a newline-delimited
+  // `key=value` token, so a key "x=0\ndim" would reach it as `dim=3`
+  // while the parent built and audited `dim=0`.
+  ServiceOptions options;
+  options.chamber_pool_workers = 1;
+  GuptService service(options, ProgramRegistry::WithStandardPrograms());
+  DatasetOptions ds;
+  ds.total_epsilon = 5.0;
+  ASSERT_TRUE(service.RegisterDataset("ages", Ages(2000, 1), ds).ok());
+
+  QueryRequest smuggler = MeanRequest(1.0);
+  smuggler.program.params = {{"dim", "0"}, {"x=0\ndim", "3"}};
+  auto refused = service.SubmitQuery(smuggler);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  QueryRequest bad_value = MeanRequest(1.0);
+  bad_value.program.params = {{"dim", "0\nq=1"}};
+  QueryRequest bad_key = MeanRequest(1.0);
+  bad_key.program.params = {{"dim=0", "0"}};
+  QueryRequest bad_name = MeanRequest(1.0);
+  bad_name.program.name = "mean\ndim=0";
+  for (const QueryRequest& request : {bad_value, bad_key, bad_name}) {
+    auto result = service.SubmitQuery(request);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_DOUBLE_EQ(service.RemainingBudget("ages").value(), 5.0);
+
+  // A clean request still runs on the pool.
+  QueryRequest clean = MeanRequest(1.0);
+  clean.program.params = {{"dim", "0"}};
+  EXPECT_TRUE(service.SubmitQuery(clean).ok());
+  EXPECT_DOUBLE_EQ(service.RemainingBudget("ages").value(), 4.0);
+}
+
+// The block's first value, or NaN when the block holds a value above 0.7.
+Result<ProgramFactory> NaNOnOutlier(const ProgramSpec&) {
+  return MakeProgramFactory(
+      "nan_on_outlier", 1, [](const Dataset& block) -> Result<Row> {
+        const double* x = block.col(0);
+        for (std::size_t r = 0; r < block.num_rows(); ++r) {
+          if (x[r] > 0.7) return Row{std::nan("")};
+        }
+        return Row{x[0]};
+      });
+}
+
+TEST_F(GuptServiceTest, PooledNaNBlockOutputFallsBack) {
+  ProgramRegistry registry = ProgramRegistry::WithStandardPrograms();
+  ASSERT_TRUE(registry.RegisterBuilder("nan_on_outlier", NaNOnOutlier).ok());
+  ServiceOptions options;
+  options.chamber_pool_workers = 2;
+  GuptService service(options, std::move(registry));
+  std::vector<double> values(2000, 0.5);
+  values[1234] = 0.75;
+  DatasetOptions ds;
+  ds.total_epsilon = 5.0;
+  ASSERT_TRUE(
+      service.RegisterDataset("d", Dataset::FromColumn(values).value(), ds)
+          .ok());
+  obs::Counter* leases = obs::MetricsRegistry::Get().GetCounter(
+      "gupt_chamber_pool_leases_total",
+      "Blocks dispatched to pooled workers (one lease per block).");
+  const double leases_before = leases->Value();
+
+  QueryRequest request;
+  request.dataset = "d";
+  request.program.name = "nan_on_outlier";
+  request.epsilon = 1.0;
+  request.range_mode = RangeMode::kTight;
+  request.output_ranges = {Range{0.0, 1.0}};
+  auto report = service.SubmitQuery(request);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(leases->Value() - leases_before,
+            static_cast<double>(report->num_blocks));
+  EXPECT_EQ(report->fallback_blocks, 1u);
+  ASSERT_EQ(report->output.size(), 1u);
+  EXPECT_TRUE(std::isfinite(report->output[0])) << report->output[0];
 }
 
 }  // namespace

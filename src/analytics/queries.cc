@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace gupt {
 namespace analytics {
@@ -44,7 +45,8 @@ ProgramFactory QuantileQuery(std::size_t dim, double q) {
       "quantile[" + std::to_string(dim) + "," + std::to_string(q) + "]", 1,
       [dim, q](const Dataset& block) -> Result<Row> {
         GUPT_ASSIGN_OR_RETURN(auto column, ColumnOrError(block, dim));
-        GUPT_ASSIGN_OR_RETURN(double value, stats::Quantile(column, q));
+        GUPT_ASSIGN_OR_RETURN(double value,
+                              stats::Quantile(std::move(column), q));
         return Row{value};
       });
 }
@@ -121,12 +123,15 @@ ProgramFactory WinsorizedMeanQuery(std::size_t dim, double trim) {
       "winsorized_mean[" + std::to_string(dim) + "," + std::to_string(trim) +
           "]",
       1, [dim, trim](const Dataset& block) -> Result<Row> {
-        if (trim < 0.0 || trim >= 0.5) {
+        if (!(trim >= 0.0 && trim < 0.5)) {  // a NaN trim fails too
           return Status::InvalidArgument("trim must be in [0, 0.5)");
         }
         GUPT_ASSIGN_OR_RETURN(auto column, ColumnOrError(block, dim));
-        GUPT_ASSIGN_OR_RETURN(double lo, stats::Quantile(column, trim));
-        GUPT_ASSIGN_OR_RETURN(double hi, stats::Quantile(column, 1.0 - trim));
+        std::vector<double> sorted = column;
+        stats::SortAscending(sorted);
+        GUPT_ASSIGN_OR_RETURN(double lo, stats::SortedQuantile(sorted, trim));
+        GUPT_ASSIGN_OR_RETURN(double hi,
+                              stats::SortedQuantile(sorted, 1.0 - trim));
         double sum = 0.0;
         for (double v : column) sum += vec::ClampScalar(v, lo, hi);
         return Row{sum / static_cast<double>(column.size())};
@@ -137,11 +142,12 @@ ProgramFactory TrimmedMeanQuery(std::size_t dim, double trim) {
   return MakeProgramFactory(
       "trimmed_mean[" + std::to_string(dim) + "," + std::to_string(trim) + "]",
       1, [dim, trim](const Dataset& block) -> Result<Row> {
-        if (trim < 0.0 || trim >= 0.5) {
+        if (!(trim >= 0.0 && trim < 0.5)) {  // a NaN trim fails too
           return Status::InvalidArgument("trim must be in [0, 0.5)");
         }
         GUPT_ASSIGN_OR_RETURN(auto column, ColumnOrError(block, dim));
-        std::sort(column.begin(), column.end());
+        // Sums the middle in sorted order, so it needs the full sort.
+        stats::SortAscending(column);
         auto drop = static_cast<std::size_t>(
             trim * static_cast<double>(column.size()));
         if (column.size() <= 2 * drop) {
@@ -221,7 +227,7 @@ ProgramFactory DecisionStumpQuery(const std::vector<std::size_t>& feature_dims,
           // Candidate thresholds: the sorted unique values' midpoints,
           // thinned to at most 64 candidates for large blocks.
           std::vector<double> sorted = column;
-          std::sort(sorted.begin(), sorted.end());
+          stats::SortAscending(sorted);
           std::size_t stride = std::max<std::size_t>(1, sorted.size() / 64);
           for (std::size_t i = 0; i + 1 < sorted.size(); i += stride) {
             double threshold = 0.5 * (sorted[i] + sorted[i + 1]);
@@ -253,8 +259,9 @@ ProgramFactory IqrQuery(std::size_t dim) {
       "iqr[" + std::to_string(dim) + "]", 1,
       [dim](const Dataset& block) -> Result<Row> {
         GUPT_ASSIGN_OR_RETURN(auto column, ColumnOrError(block, dim));
-        GUPT_ASSIGN_OR_RETURN(double q25, stats::Quantile(column, 0.25));
-        GUPT_ASSIGN_OR_RETURN(double q75, stats::Quantile(column, 0.75));
+        stats::SortAscending(column);
+        GUPT_ASSIGN_OR_RETURN(double q25, stats::SortedQuantile(column, 0.25));
+        GUPT_ASSIGN_OR_RETURN(double q75, stats::SortedQuantile(column, 0.75));
         return Row{q75 - q25};
       });
 }

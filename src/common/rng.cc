@@ -40,12 +40,15 @@ std::uint64_t Rng::NextUint64() {
 
 std::uint64_t Rng::UniformUint64(std::uint64_t bound) {
   assert(bound > 0);
-  // Lemire-style rejection: discard values in the biased tail.
-  std::uint64_t threshold = (-bound) % bound;
-  for (;;) {
-    std::uint64_t r = NextUint64();
-    if (r >= threshold) return r % bound;
+  // arc4random_uniform's rule: reject draws below 2^64 mod bound, so the
+  // accepted ones cover each residue equally often. That threshold is
+  // below bound, so a draw at or above bound is accepted without it.
+  std::uint64_t r = NextUint64();
+  if (r < bound) {
+    const std::uint64_t threshold = (-bound) % bound;
+    while (r < threshold) r = NextUint64();
   }
+  return r % bound;
 }
 
 double Rng::UniformDouble() {

@@ -30,8 +30,9 @@ class Rng {
   /// Next raw 64-bit output.
   std::uint64_t NextUint64();
 
-  /// Uniform integer in [0, bound), bound > 0. Uses rejection sampling to
-  /// avoid modulo bias.
+  /// Uniform integer in [0, bound), bound > 0: r % bound of the first draw
+  /// r >= 2^64 mod bound (arc4random_uniform's rejection rule), which
+  /// removes the modulo bias.
   std::uint64_t UniformUint64(std::uint64_t bound);
 
   /// Uniform double in [0, 1) with 53 bits of precision.

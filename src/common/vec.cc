@@ -1,10 +1,33 @@
 #include "common/vec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 namespace gupt {
+namespace {
+
+// Below this size std::sort is as fast and needs no scratch buffer.
+constexpr std::size_t kRadixMinSize = 32;
+
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+// A key whose unsigned order is the double's order: a negative double has
+// all its bits flipped, a positive one gains the sign bit.
+std::uint64_t OrderedKey(double x) {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return bits ^ ((std::uint64_t{0} - (bits >> 63)) | kSignBit);
+}
+
+double FromOrderedKey(std::uint64_t key) {
+  return std::bit_cast<double>(key ^ (((key >> 63) - 1) | kSignBit));
+}
+
+}  // namespace
+
 namespace vec {
 
 double Dot(const Row& a, const Row& b) {
@@ -115,19 +138,74 @@ double Variance(const std::vector<double>& xs) {
 
 double StdDev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
 
-Result<double> Quantile(std::vector<double> xs, double q) {
-  if (xs.empty()) {
+void SortAscending(std::span<double> xs) {
+  const std::size_t n = xs.size();
+  if (n < kRadixMinSize) {
+    std::sort(xs.begin(), xs.end());
+    return;
+  }
+  // LSD radix sort of the ordered keys, one pass per byte that some keys
+  // differ in. Keys of equal doubles are equal unless the doubles differ in
+  // bits, which only NaNs and a -0.0 beside a +0.0 do; std::sort may leave
+  // those in any order among themselves, so such inputs go to std::sort.
+  auto buffer = std::make_unique_for_overwrite<std::uint64_t[]>(2 * n);
+  std::uint64_t* from = buffer.get();
+  std::uint64_t* to = from + n;
+  std::uint64_t any_set = 0;
+  std::uint64_t all_set = ~std::uint64_t{0};
+  bool has_nan = false;
+  bool has_negative_zero = false;
+  bool has_positive_zero = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = xs[i];
+    const std::uint64_t key = OrderedKey(x);
+    from[i] = key;
+    any_set |= key;
+    all_set &= key;
+    has_nan |= x != x;
+    has_negative_zero |= key == ~kSignBit;
+    has_positive_zero |= key == kSignBit;
+  }
+  if (has_nan || (has_negative_zero && has_positive_zero)) {
+    std::sort(xs.begin(), xs.end());
+    return;
+  }
+  const std::uint64_t varying = any_set ^ all_set;
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFF) == 0) continue;
+    std::size_t start[257] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      ++start[((from[i] >> shift) & 0xFF) + 1];
+    }
+    for (std::size_t b = 1; b < 257; ++b) start[b] += start[b - 1];
+    for (std::size_t i = 0; i < n; ++i) {
+      to[start[(from[i] >> shift) & 0xFF]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  for (std::size_t i = 0; i < n; ++i) xs[i] = FromOrderedKey(from[i]);
+}
+
+Result<double> SortedQuantile(std::span<const double> sorted, double q) {
+  if (sorted.empty()) {
     return Status::InvalidArgument("quantile of an empty sequence");
   }
-  if (q < 0.0 || q > 1.0) {
+  if (!(q >= 0.0 && q <= 1.0)) {  // a NaN q fails too: it has no index
     return Status::InvalidArgument("quantile q must be in [0, 1]");
   }
-  std::sort(xs.begin(), xs.end());
-  double pos = q * static_cast<double>(xs.size() - 1);
+  double pos = q * static_cast<double>(sorted.size() - 1);
   std::size_t lo = static_cast<std::size_t>(pos);
-  std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  // A neighbour with zero weight adds nothing, but an infinite one would
+  // add inf * 0 = NaN.
+  if (frac == 0.0 && std::isinf(sorted[hi])) return sorted[lo];
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+Result<double> Quantile(std::vector<double> xs, double q) {
+  SortAscending(xs);
+  return SortedQuantile(xs, q);
 }
 
 double Rmse(const std::vector<double>& estimates,

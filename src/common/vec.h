@@ -69,8 +69,17 @@ double Variance(const std::vector<double>& xs);
 /// Population standard deviation.
 double StdDev(const std::vector<double>& xs);
 
-/// Exact q-quantile (q in [0,1]) by linear interpolation on the sorted
-/// input. Errors on empty input or q outside [0,1].
+/// Sorts `xs` ascending in place, leaving exactly the bit sequence that
+/// std::sort(xs.begin(), xs.end()) would. Every sort of doubles in the
+/// analytics programs and the DP percentile goes through here, so their
+/// outputs stay bit-identical while the sort itself is a radix sort.
+void SortAscending(std::span<double> xs);
+
+/// Exact q-quantile (q in [0,1]) by linear interpolation on an input that
+/// is already sorted ascending. Errors on empty input or q outside [0,1].
+Result<double> SortedQuantile(std::span<const double> sorted, double q);
+
+/// SortedQuantile of a sorted copy of `xs`.
 Result<double> Quantile(std::vector<double> xs, double q);
 
 /// Root-mean-square error between paired sequences (equal sizes).

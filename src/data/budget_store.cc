@@ -12,9 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string_view>
 
 #include "common/logging.h"
@@ -95,6 +93,25 @@ void AppendRecord(const std::string& dataset, const dp::BudgetCharge& charge,
   *out += '\n';
 }
 
+/// Parses all of `text` as a double, in the form AppendEpsilon writes.
+bool ParseDouble(std::string_view text, double* value) {
+  const char* last = text.data() + text.size();
+  auto [end, ec] = std::from_chars(text.data(), last, *value);
+  return !text.empty() && ec == std::errc() && end == last;
+}
+
+/// Splits the next whitespace-separated field off the front of `rest`.
+std::string_view NextField(std::string_view* rest) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  const std::size_t start =
+      std::min(rest->find_first_not_of(kSpace), rest->size());
+  const std::size_t end =
+      std::min(rest->find_first_of(kSpace, start), rest->size());
+  const std::string_view field = rest->substr(start, end - start);
+  rest->remove_prefix(end);
+  return field;
+}
+
 /// Parses one record line (without its newline).
 Status ParseRecord(std::string_view line, std::size_t line_no,
                    std::string* dataset, dp::BudgetCharge* charge) {
@@ -114,10 +131,8 @@ Status ParseRecord(std::string_view line, std::size_t line_no,
   }
   const std::size_t epsilon_end =
       std::min(payload.find(' ', name_end + 1), payload.size());
-  const char* first = payload.data() + name_end + 1;
-  const char* last = payload.data() + epsilon_end;
-  auto [parsed_end, ec] = std::from_chars(first, last, charge->epsilon);
-  if (first == last || ec != std::errc() || parsed_end != last) {
+  if (!ParseDouble(payload.substr(name_end + 1, epsilon_end - name_end - 1),
+                   &charge->epsilon)) {
     return Status::ParseError("malformed ledger record epsilon" + where);
   }
   dataset->assign(payload.substr(0, name_end));
@@ -279,6 +294,7 @@ Status RestoreBudgets(DatasetManager* manager, const std::string& text) {
 
   Declared declared;  // datasets with a dataset line so far
   std::shared_ptr<RegisteredDataset> current;
+  std::string label;  // reused by every charge line
   bool in_journal = false;  // after the first record, only records follow
   std::size_t line_no = 1;
   for (std::size_t start = magic_end + 1; start < all.size();) {
@@ -311,16 +327,15 @@ Status RestoreBudgets(DatasetManager* manager, const std::string& text) {
       continue;
     }
 
-    const std::string line(view);
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string keyword;
-    fields >> keyword;
+    if (view.empty() || view[0] == '#') continue;
+    std::string_view rest = view;
+    const std::string_view keyword = NextField(&rest);
     if (keyword == "dataset") {
-      std::string name, total_kw;
+      const std::string name(NextField(&rest));
+      const std::string_view total_kw = NextField(&rest);
       double total = 0.0;
-      fields >> name >> total_kw >> total;
-      if (fields.fail() || total_kw != "total") {
+      if (name.empty() || total_kw != "total" ||
+          !ParseDouble(NextField(&rest), &total)) {
         return Status::ParseError("malformed dataset line " +
                                   std::to_string(line_no));
       }
@@ -344,19 +359,19 @@ Status RestoreBudgets(DatasetManager* manager, const std::string& text) {
                                   std::to_string(line_no));
       }
       double epsilon = 0.0;
-      fields >> epsilon;
-      if (fields.fail()) {
+      if (!ParseDouble(NextField(&rest), &epsilon) ||
+          !std::isfinite(epsilon)) {
         return Status::ParseError("malformed charge line " +
                                   std::to_string(line_no));
       }
-      std::string label;
-      std::getline(fields, label);
-      if (!label.empty() && label[0] == ' ') label.erase(0, 1);
-      GUPT_RETURN_IF_ERROR(current->accountant().Charge(
-          epsilon, label.empty() ? "restored" : label));
+      // The label is the rest of the line after one separating space.
+      if (!rest.empty() && rest[0] == ' ') rest.remove_prefix(1);
+      label.assign(rest.empty() ? std::string_view("restored") : rest);
+      GUPT_RETURN_IF_ERROR(current->accountant().Charge(epsilon, label));
     } else {
-      return Status::ParseError("unknown ledger keyword '" + keyword +
-                                "' at line " + std::to_string(line_no));
+      return Status::ParseError("unknown ledger keyword '" +
+                                std::string(keyword) + "' at line " +
+                                std::to_string(line_no));
     }
   }
   return Status::OK();
@@ -364,13 +379,30 @@ Status RestoreBudgets(DatasetManager* manager, const std::string& text) {
 
 Status LoadBudgets(DatasetManager* manager, const std::string& path) {
   GUPT_FAILPOINT_STATUS("data.budget_store.load");
-  std::ifstream in(path);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::NotFound("cannot open ledger file: " + path);
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return RestoreBudgets(manager, buffer.str());
+  // One read into a buffer of the file's size. The spare byte gives the
+  // read that meets the end room without growing the buffer; a file that
+  // grew since the fstat is still read to its end.
+  struct stat info {};
+  std::string text(
+      ::fstat(fd, &info) == 0 ? static_cast<std::size_t>(info.st_size) + 1
+                              : 4096,
+      '\0');
+  std::size_t size = 0;
+  ssize_t n = 0;
+  do {
+    if (size == text.size()) text.resize(2 * size);
+    n = ::read(fd, text.data() + size, text.size() - size);
+    if (n > 0) size += static_cast<std::size_t>(n);
+  } while (n > 0 || (n < 0 && errno == EINTR));
+  const int err = errno;
+  ::close(fd);
+  if (n < 0) return IoError("cannot read ledger file", path, err);
+  text.resize(size);
+  return RestoreBudgets(manager, text);
 }
 
 LedgerJournal::LedgerJournal(std::string path) : path_(std::move(path)) {}

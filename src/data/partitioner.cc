@@ -57,8 +57,8 @@ Result<BlockSet> PartitionDisjointView(const Dataset& data,
   std::size_t* perm = arena->AllocateArray<std::size_t>(n);
   rng->PermutationInto(n, perm);
 
-  // Round-robin deal: permutation entry i lands in block i % num_blocks at
-  // position i / num_blocks.
+  // Round-robin deal: permutation entry i = r * num_blocks + b lands in
+  // block b at position r, dealt one round r at a time.
   std::size_t* offsets = arena->AllocateArray<std::size_t>(num_blocks);
   const std::size_t base = n / num_blocks;
   const std::size_t rem = n % num_blocks;
@@ -73,8 +73,11 @@ Result<BlockSet> PartitionDisjointView(const Dataset& data,
     cursor += len;
   }
   std::size_t* gather = arena->AllocateArray<std::size_t>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    gather[offsets[i % num_blocks] + i / num_blocks] = perm[i];
+  for (std::size_t r = 0, i = 0; i < n; ++r) {
+    const std::size_t dealt = std::min(num_blocks, n - i);
+    for (std::size_t b = 0; b < dealt; ++b, ++i) {
+      gather[offsets[b] + r] = perm[i];
+    }
   }
   set.store = GatherStore(data, gather, n);
   return set;

@@ -31,8 +31,11 @@ Status PrivacyAccountant::Charge(double epsilon, const std::string& label) {
         "' exceeds remaining budget " +
         std::to_string(total_epsilon_ - spent_epsilon_));
   }
+  const auto [it, added] = label_ids_.try_emplace(
+      label, static_cast<std::uint32_t>(labels_.size()));
+  if (added) labels_.push_back(&it->first);
   spent_epsilon_ += epsilon;
-  charges_.push_back(BudgetCharge{label, epsilon});
+  charges_.push_back(Entry{epsilon, it->second});
   return Status::OK();
 }
 
@@ -56,9 +59,25 @@ std::size_t PrivacyAccountant::num_charges() const {
   return charges_.size();
 }
 
+std::size_t PrivacyAccountant::num_labels() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return labels_.size();
+}
+
+std::vector<BudgetCharge> PrivacyAccountant::CopyLocked(
+    std::size_t first, std::size_t last) const {
+  std::vector<BudgetCharge> out;
+  out.reserve(last - first);
+  for (std::size_t i = first; i < last; ++i) {
+    out.push_back(BudgetCharge{*labels_[charges_[i].label],
+                               charges_[i].epsilon});
+  }
+  return out;
+}
+
 std::vector<BudgetCharge> PrivacyAccountant::charges() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return charges_;
+  return CopyLocked(0, charges_.size());
 }
 
 BudgetTotals PrivacyAccountant::TotalsLocked() const {
@@ -73,8 +92,7 @@ std::vector<BudgetCharge> PrivacyAccountant::ChargesSince(
     std::size_t first) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (first >= charges_.size()) return {};
-  return {charges_.begin() + static_cast<std::ptrdiff_t>(first),
-          charges_.end()};
+  return CopyLocked(first, charges_.size());
 }
 
 AccountantSnapshot PrivacyAccountant::Snapshot() const {
@@ -82,7 +100,7 @@ AccountantSnapshot PrivacyAccountant::Snapshot() const {
   AccountantSnapshot snapshot;
   snapshot.total_epsilon = total_epsilon_;
   snapshot.spent_epsilon = spent_epsilon_;
-  snapshot.charges = charges_;
+  snapshot.charges = CopyLocked(0, charges_.size());
   return snapshot;
 }
 
@@ -96,8 +114,7 @@ RecentCharges PrivacyAccountant::Recent(std::size_t limit) const {
   RecentCharges recent;
   recent.totals = TotalsLocked();
   const std::size_t listed = std::min(limit, charges_.size());
-  recent.recent.assign(
-      charges_.end() - static_cast<std::ptrdiff_t>(listed), charges_.end());
+  recent.recent = CopyLocked(charges_.size() - listed, charges_.size());
   return recent;
 }
 

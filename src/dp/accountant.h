@@ -11,8 +11,10 @@
 #ifndef GUPT_DP_ACCOUNTANT_H_
 #define GUPT_DP_ACCOUNTANT_H_
 
+#include <cstdint>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -67,7 +69,9 @@ struct RecentCharges {
   std::vector<BudgetCharge> recent;
 };
 
-/// Thread-safe epsilon-DP budget ledger for one dataset.
+/// Thread-safe epsilon-DP budget ledger for one dataset. The history keeps
+/// each distinct label once and 16 bytes per charge; BudgetCharges exist
+/// only in the copies it hands out.
 class PrivacyAccountant {
  public:
   /// Creates a ledger with the given total budget (must be positive).
@@ -85,6 +89,9 @@ class PrivacyAccountant {
 
   /// Number of successful charges so far.
   std::size_t num_charges() const;
+
+  /// Number of distinct labels among those charges.
+  std::size_t num_labels() const;
 
   /// Copy of the ledger, in charge order.
   std::vector<BudgetCharge> charges() const;
@@ -105,12 +112,23 @@ class PrivacyAccountant {
   RecentCharges Recent(std::size_t limit) const;
 
  private:
+  /// One charge: its epsilon and the index of its label in labels_.
+  struct Entry {
+    double epsilon;
+    std::uint32_t label;
+  };
+
   BudgetTotals TotalsLocked() const;  // requires mu_
+  // Copies charges_[first, last) out as BudgetCharges; requires mu_.
+  std::vector<BudgetCharge> CopyLocked(std::size_t first,
+                                       std::size_t last) const;
 
   mutable std::mutex mu_;
   double total_epsilon_;
   double spent_epsilon_ = 0.0;
-  std::vector<BudgetCharge> charges_;
+  std::vector<Entry> charges_;
+  std::unordered_map<std::string, std::uint32_t> label_ids_;
+  std::vector<const std::string*> labels_;  // label id -> key in label_ids_
 };
 
 }  // namespace dp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "common/vec.h"
@@ -10,8 +11,14 @@
 namespace gupt {
 namespace dp {
 
-Result<double> PrivatePercentile(const std::vector<double>& values,
-                                 const PercentileOptions& options, Rng* rng) {
+namespace {
+
+// PrivatePercentile, reading the order statistics from `*cache`: lo, the
+// values clamped into [lo, hi] in ascending order, then hi. Fills an empty
+// cache, so releases over the same values and range share one sort.
+Result<double> PercentileOfSorted(const std::vector<double>& values,
+                                  const PercentileOptions& options,
+                                  std::vector<double>* cache, Rng* rng) {
   if (values.empty()) {
     return Status::InvalidArgument("private percentile of an empty sequence");
   }
@@ -32,13 +39,16 @@ Result<double> PrivatePercentile(const std::vector<double>& values,
   }
 
   const std::size_t n = values.size();
-  std::vector<double> sorted(n + 2);
-  sorted[0] = options.lo;
-  for (std::size_t i = 0; i < n; ++i) {
-    sorted[i + 1] = vec::ClampScalar(values[i], options.lo, options.hi);
+  std::vector<double>& sorted = *cache;
+  if (sorted.empty()) {
+    sorted.resize(n + 2);
+    sorted[0] = options.lo;
+    for (std::size_t i = 0; i < n; ++i) {
+      sorted[i + 1] = vec::ClampScalar(values[i], options.lo, options.hi);
+    }
+    sorted[n + 1] = options.hi;
+    stats::SortAscending(std::span<double>(sorted).subspan(1, n));
   }
-  sorted[n + 1] = options.hi;
-  std::sort(sorted.begin() + 1, sorted.end() - 1);
 
   // Interval i spans [sorted[i], sorted[i+1]] for i in [0, n]. Utility is
   // the negated rank distance to the target rank; log-weight adds the
@@ -75,6 +85,14 @@ Result<double> PrivatePercentile(const std::vector<double>& values,
   return rng->UniformDouble(sorted[chosen], sorted[chosen + 1]);
 }
 
+}  // namespace
+
+Result<double> PrivatePercentile(const std::vector<double>& values,
+                                 const PercentileOptions& options, Rng* rng) {
+  std::vector<double> sorted;
+  return PercentileOfSorted(values, options, &sorted, rng);
+}
+
 Result<std::pair<double, double>> PrivateQuantilePair(
     const std::vector<double>& values, double lo, double hi,
     double lower_percentile, double upper_percentile, double epsilon_each,
@@ -87,10 +105,13 @@ Result<std::pair<double, double>> PrivateQuantilePair(
   opts.lo = lo;
   opts.hi = hi;
   opts.epsilon = epsilon_each;
+  std::vector<double> sorted;  // sorted once, read by both releases
   opts.percentile = lower_percentile;
-  GUPT_ASSIGN_OR_RETURN(double q_lo, PrivatePercentile(values, opts, rng));
+  GUPT_ASSIGN_OR_RETURN(double q_lo,
+                        PercentileOfSorted(values, opts, &sorted, rng));
   opts.percentile = upper_percentile;
-  GUPT_ASSIGN_OR_RETURN(double q_hi, PrivatePercentile(values, opts, rng));
+  GUPT_ASSIGN_OR_RETURN(double q_hi,
+                        PercentileOfSorted(values, opts, &sorted, rng));
   if (q_lo > q_hi) std::swap(q_lo, q_hi);  // noise can invert the order
   return std::make_pair(q_lo, q_hi);
 }

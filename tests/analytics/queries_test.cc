@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gupt {
 namespace analytics {
 namespace {
@@ -31,6 +33,13 @@ TEST(VarianceQueryTest, PopulationVariance) {
 
 TEST(MedianQueryTest, Interpolated) {
   EXPECT_EQ(MedianQuery(0)()->Run(TwoColumns()).value(), (Row{2.5}));
+}
+
+TEST(MedianQueryTest, InfiniteNeighbourWithZeroWeightIsIgnored) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Dataset block = Dataset::FromColumn({1.0, 2.0, inf}).value();
+  EXPECT_EQ(MedianQuery(0)()->Run(block).value(), (Row{2.0}));
+  EXPECT_EQ(QuantileQuery(0, 1.0)()->Run(block).value(), (Row{inf}));
 }
 
 TEST(QuantileQueryTest, TracksQuantiles) {

@@ -41,6 +41,9 @@ TEST(WinsorizedMeanTest, RejectsBadTrim) {
   Dataset data = Dataset::FromColumn({1.0, 2.0}).value();
   EXPECT_FALSE(WinsorizedMeanQuery(0, 0.5)()->Run(data).ok());
   EXPECT_FALSE(WinsorizedMeanQuery(0, -0.1)()->Run(data).ok());
+  EXPECT_FALSE(WinsorizedMeanQuery(0, std::nan(""))()->Run(data).ok());
+  EXPECT_FALSE(TrimmedMeanQuery(0, std::nan(""))()->Run(data).ok());
+  EXPECT_FALSE(QuantileQuery(0, std::nan(""))()->Run(data).ok());
 }
 
 TEST(TrimmedMeanTest, ResistsOutliers) {

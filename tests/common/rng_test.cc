@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace gupt {
@@ -184,6 +185,67 @@ TEST(RngTest, PermutationIsAPermutation) {
 TEST(RngTest, PermutationOfZeroIsEmpty) {
   Rng rng(67);
   EXPECT_TRUE(rng.Permutation(0).empty());
+}
+
+// UniformUint64 as it was before it skipped the threshold division for
+// draws at or above the bound: both divisions on every draw. Counts the
+// draws it rejects.
+std::uint64_t TwoDivisionUniform(Rng* rng, std::uint64_t bound,
+                                 std::size_t* rejected) {
+  const std::uint64_t threshold = (-bound) % bound;
+  for (;;) {
+    const std::uint64_t r = rng->NextUint64();
+    if (r >= threshold) return r % bound;
+    ++*rejected;
+  }
+}
+
+TEST(RngTest, UniformUint64MatchesTheTwoDivisionForm) {
+  const std::uint64_t two32 = std::uint64_t{1} << 32;
+  const std::uint64_t two63 = std::uint64_t{1} << 63;
+  const std::uint64_t bounds[] = {1,         2,         3,
+                                  7,         two32 - 1, two32 + 1,
+                                  two63 - 1, two63,     two63 + 1,
+                                  3 * (two63 / 2),      ~std::uint64_t{0}};
+  for (std::uint64_t bound : bounds) {
+    SCOPED_TRACE("bound " + std::to_string(bound));
+    Rng got(bound ^ 0x5eedULL);
+    Rng want(bound ^ 0x5eedULL);
+    std::size_t rejected = 0;
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(got.UniformUint64(bound),
+                TwoDivisionUniform(&want, bound, &rejected))
+          << "draw " << i;
+    }
+    // The same number of raw draws was consumed.
+    EXPECT_EQ(got.NextUint64(), want.NextUint64());
+    // Just above 2^63 the biased tail is up to half of all draws, so the
+    // rejection path runs thousands of times.
+    const double tail = static_cast<double>((-bound) % bound) * 0x1.0p-64;
+    if (tail > 0.2) {
+      EXPECT_GT(rejected, 2000u);
+    }
+  }
+}
+
+TEST(RngTest, PermutationIntoMatchesTheTwoDivisionForm) {
+  for (std::size_t n : {0u, 1u, 2u, 26733u, 32561u}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    Rng got(n + 11);
+    Rng want(n + 11);
+    std::vector<std::size_t> perm(n);
+    got.PermutationInto(n, perm.data());
+    std::vector<std::size_t> expected(n);
+    for (std::size_t i = 0; i < n; ++i) expected[i] = i;
+    std::size_t rejected = 0;
+    for (std::size_t i = n; i > 1; --i) {
+      const auto j =
+          static_cast<std::size_t>(TwoDivisionUniform(&want, i, &rejected));
+      std::swap(expected[i - 1], expected[j]);
+    }
+    EXPECT_EQ(perm, expected);
+    EXPECT_EQ(got.NextUint64(), want.NextUint64());
+  }
 }
 
 TEST(RngTest, ShuffleKeepsElements) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 namespace gupt {
 namespace {
@@ -80,10 +82,30 @@ TEST(StatsTest, QuantileSortsInput) {
   EXPECT_DOUBLE_EQ(stats::Quantile({9, 1, 5}, 0.5).value(), 5.0);
 }
 
+TEST(StatsTest, QuantileIgnoresAZeroWeightInfiniteNeighbour) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(stats::Quantile({1, 2, inf}, 0.5).value(), 2.0);
+  EXPECT_EQ(stats::Quantile({1, 2, inf}, 1.0).value(), inf);
+  EXPECT_EQ(stats::Quantile({inf, 1}, 0.0).value(), 1.0);
+  EXPECT_EQ(stats::Quantile({2, -inf, 1}, 0.5).value(), 1.0);
+  // Weighted infinities still dominate.
+  EXPECT_EQ(stats::Quantile({1, 2, inf}, 0.75).value(), inf);
+  EXPECT_EQ(stats::Quantile({-inf, 1, 2}, 0.25).value(), -inf);
+}
+
+TEST(StatsTest, SortedQuantileReadsTheSortedInput) {
+  const std::vector<double> sorted = {1, 2, 3, 4};
+  EXPECT_EQ(stats::SortedQuantile(sorted, 0.25).value(), 1.75);
+  EXPECT_EQ(stats::SortedQuantile(sorted, 0.75).value(), 3.25);
+  EXPECT_FALSE(stats::SortedQuantile({}, 0.5).ok());
+  EXPECT_FALSE(stats::SortedQuantile(sorted, 1.5).ok());
+}
+
 TEST(StatsTest, QuantileErrors) {
   EXPECT_FALSE(stats::Quantile({}, 0.5).ok());
   EXPECT_FALSE(stats::Quantile({1.0}, -0.1).ok());
   EXPECT_FALSE(stats::Quantile({1.0}, 1.1).ok());
+  EXPECT_FALSE(stats::Quantile({1.0, 2.0, 3.0}, std::nan("")).ok());
 }
 
 TEST(StatsTest, Rmse) {

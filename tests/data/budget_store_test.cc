@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -144,6 +145,75 @@ TEST(BudgetStoreTest, RejectsGarbage) {
   EXPECT_FALSE(
       RestoreBudgets(&manager, "gupt-ledger v1\ndataset alpha banana 5\n")
           .ok());
+}
+
+// How snapshot lines that the writer never produces restore. Charge lines
+// and the dataset total parse their number with std::from_chars, as
+// journal records do, so the whole field must be the number: a leading '+'
+// or a number glued to its label is refused.
+TEST(BudgetStoreTest, HandEditedChargeLinesRestoreAsPinned) {
+  struct Case {
+    std::string line;
+    StatusCode code;
+    std::string label;  // the restored label, when the line is accepted
+  };
+  const Case cases[] = {
+      {"charge 0.5 plain", StatusCode::kOk, "plain"},
+      {"charge +0.5 plus", StatusCode::kParseError, ""},
+      {"charge\t0.5 tab", StatusCode::kOk, "tab"},
+      {"charge 0.5glued", StatusCode::kParseError, ""},
+      {"charge 0.5", StatusCode::kOk, "restored"},
+      {"charge 0.5 ", StatusCode::kOk, "restored"},
+      {"charge 0.5\tafter a tab", StatusCode::kOk, "\tafter a tab"},
+      {"charge 0.5  two spaces", StatusCode::kOk, " two spaces"},
+      {"  charge 0.5 indented", StatusCode::kOk, "indented"},
+      {"charge", StatusCode::kParseError, ""},
+      {"charge inf x", StatusCode::kParseError, ""},
+      {"charge nan x", StatusCode::kParseError, ""},
+      {"charge 1e400 x", StatusCode::kParseError, ""},
+      {"charge 1e-400 x", StatusCode::kParseError, ""},
+      {"charge -0.5 x", StatusCode::kInvalidArgument, ""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.line);
+    DatasetManager manager;
+    FillFreshManager(&manager);
+    const Status status = RestoreBudgets(
+        &manager, "gupt-ledger v1\ndataset alpha total 5\n" + c.line + "\n");
+    EXPECT_EQ(status.code(), c.code) << status;
+    const std::vector<dp::BudgetCharge> charges =
+        manager.Get("alpha").value()->accountant().charges();
+    if (c.code != StatusCode::kOk) {
+      EXPECT_TRUE(charges.empty());
+      continue;
+    }
+    ASSERT_EQ(charges.size(), 1u);
+    EXPECT_EQ(charges[0].label, c.label);
+    EXPECT_EQ(charges[0].epsilon, 0.5);
+  }
+}
+
+TEST(BudgetStoreTest, HandEditedDatasetLinesRestoreAsPinned) {
+  const std::pair<std::string, StatusCode> cases[] = {
+      {"dataset alpha total 5", StatusCode::kOk},
+      {"dataset\talpha\ttotal\t5", StatusCode::kOk},
+      {"dataset alpha total 5 trailing", StatusCode::kOk},
+      {"dataset alpha total +5", StatusCode::kParseError},
+      {"dataset alpha total 5x", StatusCode::kParseError},
+      {"dataset alpha total", StatusCode::kParseError},
+      {"dataset alpha", StatusCode::kParseError},
+      {"dataset", StatusCode::kParseError},
+  };
+  for (const auto& [line, code] : cases) {
+    SCOPED_TRACE(line);
+    DatasetManager manager;
+    FillFreshManager(&manager);
+    const Status status =
+        RestoreBudgets(&manager, "gupt-ledger v1\n" + line + "\ncharge 1 x\n");
+    EXPECT_EQ(status.code(), code) << status;
+    EXPECT_EQ(manager.Get("alpha").value()->accountant().num_charges(),
+              code == StatusCode::kOk ? 1u : 0u);
+  }
 }
 
 TEST(BudgetStoreTest, CommentsAndBlankLinesIgnored) {
@@ -567,6 +637,30 @@ TEST(BudgetStoreTest, InjectedPersistFaultLeavesChargesForTheNextPersist) {
   ASSERT_TRUE(LoadBudgets(&restored, path).ok());
   ExpectSameLedgers(manager, restored);
   std::remove(path.c_str());
+}
+
+TEST(BudgetStoreTest, LoadReadsALargeLedgerWhole) {
+  const std::string path = ::testing::TempDir() + "/gupt_ledger_large_" +
+                           std::to_string(getpid()) + ".txt";
+  DatasetManager manager;
+  FillFreshManager(&manager);
+  for (int i = 0; i < 20000; ++i) {
+    const std::string label = "label " + std::to_string(i % 5);
+    ASSERT_TRUE(Accountant(&manager, i % 3 == 0 ? "beta" : "alpha")
+                    .Charge(1e-5 * (1 + i % 7), label)
+                    .ok());
+  }
+  WriteFile(path, SerializeBudgets(manager));
+  DatasetManager restored;
+  FillFreshManager(&restored);
+  ASSERT_TRUE(LoadBudgets(&restored, path).ok());
+  ExpectSameLedgers(manager, restored);
+  std::remove(path.c_str());
+
+  // A path that opens but cannot be read as a file is an error too.
+  DatasetManager from_directory;
+  FillFreshManager(&from_directory);
+  EXPECT_FALSE(LoadBudgets(&from_directory, ::testing::TempDir()).ok());
 }
 
 TEST(BudgetStoreTest, InterleavedPersistersReloadEqualsTheLedgerInOrder) {

@@ -1,5 +1,6 @@
-// Chamber-pool micro-benchmark: pre-warmed workers vs fork-per-block, and
-// zero-copy columnar block views vs the row-copy partitioning they replaced.
+// Chamber-pool micro-benchmark: pre-warmed workers vs fork-per-block, the
+// cost of one lease, and per-block columnar gathers vs the row-copy
+// partitioning they replaced.
 //
 // Two claims are made machine-checkable here (BENCH_chamber_pool.json, run
 // through tools/bench_runner.py so regressions gate on the _s/_ratio
@@ -8,12 +9,20 @@
 //   1. Leasing a pre-warmed worker per block beats forking a fresh chamber
 //      child per block by >= 5x on paper-shaped blocks, because the fork/
 //      page-table/exit tax dwarfs a mean over a few hundred rows.
-//   2. The columnar partitioner copies each cell exactly once (the single
-//      block-shuffled gather); the row-major flow it replaced copied every
-//      cell twice — once gathering the block Subset, once handing the
-//      chamber its private row copy — before counting per-Row allocation
-//      overhead.
+//   2. The columnar partitioner copies each cell exactly once (no cell at
+//      partition time, then each block's cells in the gather where it
+//      runs); the row-major flow it replaced copied every cell twice —
+//      once gathering the block Subset, once handing the chamber its
+//      private row copy — before counting per-Row allocation overhead.
+//
+// It also reports what one lease of a 450 x 11 block of the life-sciences
+// table costs: wall time, the parent's CPU (gather into the worker's
+// segment, frame, wait) and the worker's CPU (read the frame, run, answer),
+// the latter from the reaped workers' rusage after the pool shuts down.
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -22,6 +31,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "data/partitioner.h"
+#include "data/synthetic.h"
 #include "exec/chamber_pool.h"
 #include "exec/process_chamber.h"
 #include "obs/metrics.h"
@@ -75,17 +85,16 @@ struct CopyCosts {
 CopyCosts MeasureCopiedBytes(const Dataset& data) {
   CopyCosts costs;
 
-  // Columnar: one block-shuffled gather; every view after it is free.
+  // Columnar: the partition copies nothing; each block is gathered once.
   {
     Rng rng(7);
     double before = PartitionCounterValue();
     auto set = PartitionDisjointView(data, kNumBlocks, &rng);
     if (!set.ok()) std::exit(1);
-    costs.columnar_bytes = PartitionCounterValue() - before;
     for (std::size_t b = 0; b < kNumBlocks; ++b) {
-      DatasetView view = set->view(b);  // zero-copy by construction
-      if (view.num_rows() == 0) std::exit(1);
+      if (set->block(b).num_rows() == 0) std::exit(1);
     }
+    costs.columnar_bytes = PartitionCounterValue() - before;
   }
 
   // Row replica: the flow this refactor replaced — gather a Subset per
@@ -138,7 +147,7 @@ double PooledSecondsPerBlock(const BlockSet& set, const Row& fallback) {
   if (!pool.Start().ok()) std::exit(1);
   double seconds = bench::TimeSeconds([&] {
     for (std::size_t b = 0; b < set.slices.size(); ++b) {
-      auto run = pool.Execute("mean0", set.view(b), fallback);
+      auto run = pool.Execute("mean0", set, b, fallback);
       if (!run.ok() || run->used_fallback) std::exit(1);
     }
   });
@@ -151,6 +160,64 @@ double PooledSecondsPerBlock(const BlockSet& set, const Row& fallback) {
               static_cast<double>(stats.shipped_bytes) / 1024.0);
   if (stats.respawns != 0) std::exit(1);  // a crash would skew the timing
   return seconds / static_cast<double>(set.slices.size());
+}
+
+struct LeaseCosts {
+  double wall_s = 0.0;
+  double parent_cpu_s = 0.0;
+  double worker_cpu_s = 0.0;
+};
+
+double CpuSeconds(int who) {
+  struct rusage usage;
+  ::getrusage(who, &usage);
+  auto seconds = [](const struct timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// Per-lease cost of kLeases sequential leases, cycling over the 450-row
+/// blocks of the 26,733 x 11 life-sciences table on one warm worker.
+/// The worker's CPU includes its fork and exit, spread over the leases.
+LeaseCosts MeasureLease() {
+  constexpr std::size_t kLeases = 4000;
+  Dataset data = synthetic::LifeSciences({}).value();
+  Rng rng(11);
+  auto set = PartitionResampledView(data, 450, 1, &rng);
+  if (!set.ok()) std::exit(1);
+  const Row fallback{0.0};
+  const double children_before = CpuSeconds(RUSAGE_CHILDREN);
+  LeaseCosts costs;
+  {
+    ChamberPool pool(ChamberPolicy{}, 1);
+    pool.SetProgramResolver(
+        [](const std::string&) -> Result<ProgramFactory> {
+          return MeanFactory();
+        });
+    if (!pool.Start().ok()) std::exit(1);
+    for (std::size_t b = 0; b < set->num_blocks(); ++b) {  // warm-up
+      if (!pool.Execute("mean0", *set, b, fallback).ok()) std::exit(1);
+    }
+    const double parent_before = CpuSeconds(RUSAGE_SELF);
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < kLeases; ++i) {
+      auto run = pool.Execute("mean0", *set, i % set->num_blocks(), fallback);
+      if (!run.ok() || run->used_fallback) std::exit(1);
+    }
+    costs.wall_s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+    costs.parent_cpu_s = CpuSeconds(RUSAGE_SELF) - parent_before;
+    pool.Shutdown();  // reaps the worker, so its CPU reaches the children
+  }
+  costs.worker_cpu_s = CpuSeconds(RUSAGE_CHILDREN) - children_before;
+  const double leases = static_cast<double>(kLeases + set->num_blocks());
+  costs.wall_s /= static_cast<double>(kLeases);
+  costs.parent_cpu_s /= static_cast<double>(kLeases);
+  costs.worker_cpu_s /= leases;
+  return costs;
 }
 
 int Run() {
@@ -174,6 +241,7 @@ int Run() {
 
   CopyCosts costs = MeasureCopiedBytes(data);
   double copied_bytes_ratio = costs.columnar_bytes / costs.row_bytes;
+  LeaseCosts lease = MeasureLease();
 
   bench::PrintRow({"path", "block_s", "blocks_per_s"});
   bench::PrintRow({"fork_per_block", bench::Fmt(fork_block_s, 6),
@@ -181,6 +249,11 @@ int Run() {
   bench::PrintRow({"pooled_lease", bench::Fmt(pool_block_s, 6),
                    bench::Fmt(1.0 / pool_block_s, 1)});
   bench::PrintRow({"fork_over_pool_speedup", bench::Fmt(speedup, 2)});
+  bench::PrintRow({"lease_450x11_wall_us", bench::Fmt(lease.wall_s * 1e6, 1)});
+  bench::PrintRow({"lease_450x11_parent_cpu_us",
+                   bench::Fmt(lease.parent_cpu_s * 1e6, 1)});
+  bench::PrintRow({"lease_450x11_worker_cpu_us",
+                   bench::Fmt(lease.worker_cpu_s * 1e6, 1)});
   bench::PrintRow({"columnar_copied_mb",
                    bench::Fmt(costs.columnar_bytes / 1048576.0, 2)});
   bench::PrintRow(
@@ -198,11 +271,15 @@ int Run() {
                "{\"num_blocks\": %zu, \"block_rows\": %zu, "
                "\"fork_block_s\": %.9f, \"pool_block_s\": %.9f, "
                "\"fork_over_pool_speedup\": %.3f, "
+               "\"lease_450x11_wall_s\": %.9f, "
+               "\"lease_450x11_parent_cpu_s\": %.9f, "
+               "\"lease_450x11_worker_cpu_s\": %.9f, "
                "\"columnar_copied_bytes\": %.0f, "
                "\"row_copied_bytes\": %.0f, "
                "\"copied_bytes_ratio\": %.6f}\n",
                kNumBlocks, kRows / kNumBlocks, fork_block_s, pool_block_s,
-               speedup, costs.columnar_bytes, costs.row_bytes,
+               speedup, lease.wall_s, lease.parent_cpu_s, lease.worker_cpu_s,
+               costs.columnar_bytes, costs.row_bytes,
                copied_bytes_ratio);
   std::fclose(out);
   std::printf("# wrote BENCH_chamber_pool.json\n");

@@ -116,9 +116,9 @@ int Run() {
                      bench::Fmt(helper.wall_s), bench::Fmt(helper.cpu_s)});
   }
 
-  // Data-movement footnote: total bytes the partitioner gathered across
-  // all the private runs above (each cell is copied once into the
-  // block-shuffled store; the per-block views are zero-copy), plus the
+  // Data-movement footnote: total bytes the per-block gathers copied
+  // across all the private runs above (each selected cell is copied once,
+  // into the block that holds it, where that block runs), plus the
   // chamber-pool lease/reset counters — zero here, since this figure runs
   // in-thread chambers, but reported so a future pool-backed run of the
   // same figure is directly comparable.

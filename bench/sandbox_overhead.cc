@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <string>
 
 #include "analytics/kmeans.h"
@@ -97,10 +98,15 @@ BENCHMARK(BM_KMeansInSubprocess)->Arg(200)->Arg(1000);
 
 // The pre-warmed pool backend: same OS-level isolation as the subprocess
 // path but the fork is paid once, not per block — each iteration is one
-// lease (ship columns, run, reset). The lease/reset counters confirm every
-// iteration reused a warm worker (respawns stay 0 on a healthy run).
+// lease (gather into the worker's segment, run, reset). The lease/reset
+// counters confirm every iteration reused a warm worker (respawns stay 0
+// on a healthy run).
 void BM_KMeansInPooledChamber(benchmark::State& state) {
-  Dataset block = MakeBlock(static_cast<std::size_t>(state.range(0)));
+  BlockSet blocks;  // one block: every row, in order
+  blocks.source = MakeBlock(static_cast<std::size_t>(state.range(0)));
+  blocks.rows.resize(blocks.source.num_rows());
+  std::iota(blocks.rows.begin(), blocks.rows.end(), std::size_t{0});
+  blocks.slices = {BlockSlice{0, blocks.source.num_rows()}};
   ChamberPool pool{ChamberPolicy{}, 1};
   pool.SetProgramResolver(
       [](const std::string& token) -> Result<ProgramFactory> {
@@ -116,7 +122,7 @@ void BM_KMeansInPooledChamber(benchmark::State& state) {
   Row fallback(4, 0.0);
   ChamberPoolStats before = pool.Stats();
   for (auto _ : state) {
-    auto run = pool.Execute("kmeans", block.view(), fallback);
+    auto run = pool.Execute("kmeans", blocks, 0, fallback);
     if (!run.ok() || run->used_fallback) state.SkipWithError("lease failed");
     benchmark::DoNotOptimize(run);
   }
@@ -133,8 +139,8 @@ void BM_KMeansInPooledChamber(benchmark::State& state) {
 }
 BENCHMARK(BM_KMeansInPooledChamber)->Arg(200)->Arg(1000);
 
-// Cost of standing up executable blocks: one block-shuffled columnar
-// gather per query, after which every block view is zero-copy. The
+// Cost of standing up executable blocks: the partition's permutation and
+// layout, then one gather per block into a store of its own. The
 // copied_mb_per_iter counter is the partitioner's own
 // gupt_data_partition_copied_bytes_total delta — each cell moves exactly
 // once.
@@ -147,7 +153,9 @@ void BM_PartitionColumnarGather(benchmark::State& state) {
   for (auto _ : state) {
     auto set = PartitionDisjointView(data, /*num_blocks=*/16, &rng);
     if (!set.ok()) state.SkipWithError("partition failed");
-    benchmark::DoNotOptimize(set);
+    for (std::size_t b = 0; set.ok() && b < set->num_blocks(); ++b) {
+      benchmark::DoNotOptimize(set->block(b));
+    }
   }
   state.counters["copied_mb_per_iter"] = benchmark::Counter(
       (copied->Value() - before) / 1048576.0,

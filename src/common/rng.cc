@@ -100,18 +100,21 @@ std::size_t Rng::Categorical(const std::vector<double>& weights) {
   assert(!weights.empty());
   double total = 0.0;
   for (double w : weights) {
-    assert(w >= 0.0);
+    assert(!(w < 0.0));  // a NaN weight is allowed; see the header
     total += w;
   }
-  assert(total > 0.0);
-  double target = UniformDouble() * total;
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    cumulative += weights[i];
-    if (target < cumulative) return i;
+  const double u = UniformDouble();
+  if (!std::isnan(total)) {
+    assert(total > 0.0);
+    const double target = u * total;
+    double cumulative = 0.0;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      cumulative += weights[i];
+      if (target < cumulative) return i;
+    }
   }
-  // Floating-point round-off can leave target == total; return the last
-  // positive-weight index.
+  // A NaN weight, or floating-point round-off leaving target == total:
+  // return the last positive-weight index.
   for (std::size_t i = weights.size(); i > 0; --i) {
     if (weights[i - 1] > 0.0) return i - 1;
   }

@@ -61,7 +61,9 @@ class Rng {
   bool Bernoulli(double p);
 
   /// Index in [0, weights.size()) drawn proportionally to `weights`.
-  /// Weights must be non-negative with a positive sum.
+  /// Weights must be non-negative with a positive sum, or hold a NaN: then
+  /// one uniform is still consumed and the result is the last index with a
+  /// positive weight (the last index when no weight is positive).
   std::size_t Categorical(const std::vector<double>& weights);
 
   /// Fisher-Yates shuffle of `values`.

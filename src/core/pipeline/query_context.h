@@ -184,10 +184,10 @@ struct QueryContext {
   std::chrono::steady_clock::time_point admitted_at;
 
   // --- written by PartitionStage -----------------------------------------
-  /// Block-shuffled materialization: one gather, zero-copy block views.
+  /// The block layout; each block is gathered where it runs.
   BlockSet blocks;
 
-  /// Per-query scratch (partition permutations and gather indices); reset
+  /// Per-query scratch (the disjoint partition's permutation); reset
   /// between pipeline walks of the same context, never shared across
   /// coordinator threads.
   Arena arena;

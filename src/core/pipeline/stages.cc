@@ -530,14 +530,13 @@ Status PartitionStage::Run(QueryContext& ctx) const {
   const Dataset& rows = subsampled ? *subsample : ctx.ds->data();
   const std::size_t n_rows = rows.num_rows();
 
-  // Fused partition+gather: the RNG stream is identical to the old
-  // index-plan path, and each block view holds the same rows in the same
-  // order the per-block Subset copies used to produce. The BlockSet owns
-  // its gathered store, so a temporary subsample dataset is safe.
+  // Permutation and layout only: each block is gathered where it runs,
+  // holding the same rows in the same order as ever. The BlockSet holds a
+  // handle on `rows`, so a temporary subsample stays alive with it.
   Result<BlockSet> partitioned =
       plan.gamma > 1
           ? PartitionResampledView(rows, plan.block_size, plan.gamma,
-                                   ctx.rng, &ctx.arena)
+                                   ctx.rng)
           : PartitionDisjointView(
                 rows,
                 std::max<std::size_t>(1, std::min(plan.num_blocks, n_rows)),

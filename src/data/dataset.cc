@@ -5,6 +5,27 @@
 #include <utility>
 
 namespace gupt {
+namespace {
+
+std::shared_ptr<const std::vector<std::string>> SharedNames(
+    std::vector<std::string> names) {
+  if (names.empty()) return nullptr;
+  return std::make_shared<const std::vector<std::string>>(std::move(names));
+}
+
+}  // namespace
+
+std::shared_ptr<ColumnStore> ColumnStore::Allocate(
+    std::size_t num_rows, std::size_t num_dims,
+    std::shared_ptr<const std::vector<std::string>> column_names) {
+  auto store = std::make_shared<ColumnStore>();
+  store->owned = std::make_unique_for_overwrite<double[]>(num_rows * num_dims);
+  store->base = store->owned.get();
+  store->num_rows = num_rows;
+  store->num_dims = num_dims;
+  store->column_names = std::move(column_names);
+  return store;
+}
 
 Result<Dataset> Dataset::Create(std::vector<Row> rows,
                                 std::vector<std::string> column_names) {
@@ -23,16 +44,14 @@ Result<Dataset> Dataset::Create(std::vector<Row> rows,
   if (!column_names.empty() && column_names.size() != dims) {
     return Status::InvalidArgument("column_names arity does not match rows");
   }
-  auto store = std::make_shared<ColumnStore>();
-  store->num_rows = rows.size();
-  store->column_names = std::move(column_names);
-  store->columns.resize(dims);
+  const std::size_t n = rows.size();
+  auto store =
+      ColumnStore::Allocate(n, dims, SharedNames(std::move(column_names)));
   for (std::size_t d = 0; d < dims; ++d) {
-    std::vector<double>& column = store->columns[d];
-    column.resize(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) column[i] = rows[i][d];
+    double* column = store->owned.get() + d * n;
+    for (std::size_t i = 0; i < n; ++i) column[i] = rows[i][d];
   }
-  return Dataset(std::move(store), 0, rows.size());
+  return Dataset(std::move(store), 0, n);
 }
 
 Result<Dataset> Dataset::FromColumns(std::vector<std::vector<double>> columns,
@@ -52,10 +71,11 @@ Result<Dataset> Dataset::FromColumns(std::vector<std::vector<double>> columns,
   if (!column_names.empty() && column_names.size() != columns.size()) {
     return Status::InvalidArgument("column_names arity does not match columns");
   }
-  auto store = std::make_shared<ColumnStore>();
-  store->num_rows = n;
-  store->columns = std::move(columns);
-  store->column_names = std::move(column_names);
+  auto store = ColumnStore::Allocate(n, columns.size(),
+                                     SharedNames(std::move(column_names)));
+  for (std::size_t d = 0; d < columns.size(); ++d) {
+    std::copy(columns[d].begin(), columns[d].end(), store->owned.get() + d * n);
+  }
   return Dataset(std::move(store), 0, n);
 }
 
@@ -85,7 +105,7 @@ void Dataset::CopyRowInto(std::size_t i, Row* out) const {
   const std::size_t dims = num_dims();
   out->resize(dims);
   for (std::size_t d = 0; d < dims; ++d) {
-    (*out)[d] = store_->columns[d][offset_ + i];
+    (*out)[d] = col(d)[i];
   }
 }
 
@@ -112,20 +132,14 @@ Result<Dataset> Dataset::Subset(const std::vector<std::size_t>& indices) const {
       return Status::InvalidArgument("subset index out of range");
     }
   }
-  const std::size_t dims = num_dims();
-  auto gathered = std::make_shared<ColumnStore>();
-  gathered->num_rows = indices.size();
-  gathered->column_names = store_->column_names;
-  gathered->columns.resize(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
+  const std::size_t m = indices.size();
+  auto gathered = ColumnStore::Allocate(m, num_dims(), store_->column_names);
+  double* out = gathered->owned.get();
+  for (std::size_t d = 0; d < num_dims(); ++d) {
     const double* src = col(d);
-    std::vector<double>& column = gathered->columns[d];
-    column.resize(indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      column[i] = src[indices[i]];
-    }
+    for (std::size_t i = 0; i < m; ++i) *out++ = src[indices[i]];
   }
-  return Dataset(std::move(gathered), 0, indices.size());
+  return Dataset(std::move(gathered), 0, m);
 }
 
 Result<Dataset> Dataset::Slice(std::size_t offset, std::size_t length) const {

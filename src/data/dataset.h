@@ -2,22 +2,30 @@
 //
 // GUPT's data model (paper §3.1) is a table of real-valued vectors with
 // optional per-dimension input ranges supplied by the data owner. Storage
-// is an immutable, shared *column store*: one contiguous double array per
-// dimension, owned by a refcounted ColumnStore. A Dataset is a cheap
-// {store, offset, length} handle over such a store, so contiguous slicing
-// (SplitAt, Slice, per-block views after a block-shuffled materialization)
-// is zero-copy and O(num_dims), while arbitrary-index Subset gathers into
-// a fresh store. Untrusted programs still can never mutate shared data:
-// every accessor is const and the arrays live behind a shared_ptr<const>.
+// is an immutable, shared *column store*: one column-major buffer of
+// doubles (column d starts at base + d * num_rows) behind a refcounted
+// ColumnStore. A Dataset is a cheap {store, offset, length} handle over
+// such a store, so contiguous slicing (SplitAt, Slice) is zero-copy,
+// while an arbitrary-index gather (Subset, a partition block) fills a
+// fresh store with one allocation. Untrusted programs still can never
+// mutate shared data: every accessor is const and the store lives behind
+// a shared_ptr<const>.
 //
 // Aliasing rules (see docs/architecture.md "Memory layout"):
 //   * A ColumnStore is immutable from the moment a Dataset is built over
-//     it; views never invalidate.
-//   * Dataset and DatasetView handles keep the whole store alive; a view
-//     over 1% of the rows pins 100% of the store (gather a Subset when
-//     that matters).
+//     it; handles never invalidate.
+//   * A store either owns its buffer or borrows column-major doubles
+//     owned elsewhere (a pool worker's read-only input segment). Both are
+//     read through ColumnStore::column(); whoever builds a borrowing
+//     store keeps the memory alive and unchanged while any handle to it
+//     exists.
+//   * Dataset handles keep the whole store alive; a window over 1% of
+//     the rows pins 100% of the store (gather a Subset when that
+//     matters).
 //   * col(d) pointers are valid exactly as long as some handle to the
 //     store exists.
+//   * Column names are shared, never copied, between a store and the
+//     stores gathered from it.
 
 #ifndef GUPT_DATA_DATASET_H_
 #define GUPT_DATA_DATASET_H_
@@ -44,53 +52,27 @@ struct Range {
   double width() const { return hi - lo; }
 };
 
-/// Immutable contiguous per-dimension storage shared by every view over
-/// it. Never mutated after construction (the columns' sizes and values are
-/// fixed); always held behind shared_ptr<const ColumnStore>.
+/// Immutable column-major storage shared by every handle over it. Never
+/// mutated after construction; always held behind shared_ptr<const>.
 struct ColumnStore {
-  /// columns[d] has num_rows values; all columns have equal length.
-  std::vector<std::vector<double>> columns;
-  std::vector<std::string> column_names;
+  /// The values when the store owns them; null when it borrows them.
+  std::unique_ptr<double[]> owned;
+  /// num_dims columns of num_rows values each, column after column.
+  const double* base = nullptr;
   std::size_t num_rows = 0;
+  std::size_t num_dims = 0;
+  /// Null when the columns are unnamed.
+  std::shared_ptr<const std::vector<std::string>> column_names;
 
-  std::size_t num_dims() const { return columns.size(); }
-};
-
-/// A non-owning offset+length window over a ColumnStore: the handle the
-/// partitioner and execution layers pass around for zero-copy blocks. The
-/// underlying store must be kept alive by the owner of the blocks (a
-/// Dataset or a BlockSet); a view itself is two pointers and two sizes.
-class DatasetView {
- public:
-  DatasetView() = default;
-  DatasetView(const ColumnStore* store, std::size_t offset, std::size_t length)
-      : store_(store), offset_(offset), length_(length) {}
-
-  std::size_t num_rows() const { return length_; }
-  std::size_t num_dims() const {
-    return store_ == nullptr ? 0 : store_->num_dims();
-  }
-  std::size_t offset() const { return offset_; }
-  const ColumnStore* store() const { return store_; }
-
-  /// Contiguous column slice of length num_rows(); dim must be in range.
-  const double* col(std::size_t dim) const {
-    return store_->columns[dim].data() + offset_;
+  /// The one read path: column `dim` of either kind of store.
+  const double* column(std::size_t dim) const {
+    return base + dim * num_rows;
   }
 
-  /// Element access (row-local index within this view).
-  double at(std::size_t row, std::size_t dim) const {
-    return store_->columns[dim][offset_ + row];
-  }
-
-  const std::vector<std::string>& column_names() const {
-    return store_->column_names;
-  }
-
- private:
-  const ColumnStore* store_ = nullptr;
-  std::size_t offset_ = 0;
-  std::size_t length_ = 0;
+  /// A store owning uninitialised room for num_rows x num_dims values.
+  static std::shared_ptr<ColumnStore> Allocate(
+      std::size_t num_rows, std::size_t num_dims,
+      std::shared_ptr<const std::vector<std::string>> column_names);
 };
 
 /// Immutable rectangular table of doubles: a shared-ownership window over
@@ -117,30 +99,30 @@ class Dataset {
   /// Loads a numeric CSV file.
   static Result<Dataset> FromCsvFile(const std::string& path, bool has_header);
 
-  /// Wraps an existing store (offset+length window). Internal-ish: used by
-  /// the partitioner's block materialization.
+  /// Wraps an existing store (offset+length window): a block gathered by
+  /// the partitioner, or a store borrowing a pool worker's segment.
   static Dataset FromStore(std::shared_ptr<const ColumnStore> store,
                            std::size_t offset, std::size_t length);
 
   std::size_t num_rows() const { return length_; }
   std::size_t num_dims() const {
-    return store_ == nullptr ? 0 : store_->num_dims();
+    return store_ == nullptr ? 0 : store_->num_dims;
   }
   const std::vector<std::string>& column_names() const {
     static const std::vector<std::string> kEmpty;
-    return store_ == nullptr ? kEmpty : store_->column_names;
+    return store_ == nullptr || store_->column_names == nullptr
+               ? kEmpty
+               : *store_->column_names;
   }
 
   /// Zero-copy contiguous column slice of length num_rows(). `dim` must be
   /// in range (use Column for checked access).
   const double* col(std::size_t dim) const {
-    return store_->columns[dim].data() + offset_;
+    return store_->column(dim) + offset_;
   }
 
   /// Element access without materializing a row.
-  double at(std::size_t row, std::size_t dim) const {
-    return store_->columns[dim][offset_ + row];
-  }
+  double at(std::size_t row, std::size_t dim) const { return col(dim)[row]; }
 
   /// Materialized copy of row `i` (gathers across columns). Prefer
   /// col()/at() on hot paths.
@@ -152,10 +134,6 @@ class Dataset {
 
   /// Materialized row-major copy of the whole table (tests, exports).
   std::vector<Row> MaterializeRows() const;
-
-  /// Non-owning view of this dataset's window (caller keeps the Dataset
-  /// alive while the view is in use).
-  DatasetView view() const { return DatasetView(store_.get(), offset_, length_); }
 
   /// The shared store handle (for aliasing checks and block owners).
   const std::shared_ptr<const ColumnStore>& store() const { return store_; }

@@ -11,34 +11,33 @@ namespace {
 obs::Counter* CopiedBytesCounter() {
   static obs::Counter* counter = obs::MetricsRegistry::Get().GetCounter(
       "gupt_data_partition_copied_bytes_total",
-      "Bytes of row data copied while gathering partition blocks into the "
-      "block-shuffled columnar store");
+      "Bytes of row data copied while gathering each partition block where "
+      "it runs");
   return counter;
 }
 
-// Gathers data's rows at window-local indices gather[0..total) into a
-// fresh store, one contiguous pass per column, and charges the copied
-// bytes to the partition metric.
-std::shared_ptr<const ColumnStore> GatherStore(const Dataset& data,
-                                               const std::size_t* gather,
-                                               std::size_t total) {
-  auto store = std::make_shared<ColumnStore>();
-  store->num_rows = total;
-  store->column_names = data.column_names();
-  const std::size_t dims = data.num_dims();
-  store->columns.resize(dims);
+}  // namespace
+
+void BlockSet::GatherInto(std::size_t b, double* out) const {
+  const std::size_t* index = rows.data() + slices[b].offset;
+  const std::size_t len = slices[b].length;
+  const std::size_t dims = source.num_dims();
   for (std::size_t d = 0; d < dims; ++d) {
-    const double* src = data.col(d);
-    std::vector<double>& out = store->columns[d];
-    out.resize(total);
-    for (std::size_t j = 0; j < total; ++j) out[j] = src[gather[j]];
+    const double* src = source.col(d);
+    for (std::size_t j = 0; j < len; ++j) out[j] = src[index[j]];
+    out += len;
   }
   CopiedBytesCounter()->Increment(
-      static_cast<double>(total * dims * sizeof(double)));
-  return store;
+      static_cast<double>(len * dims * sizeof(double)));
 }
 
-}  // namespace
+Dataset BlockSet::block(std::size_t b) const {
+  const std::size_t len = slices[b].length;
+  auto store = ColumnStore::Allocate(len, source.num_dims(),
+                                     source.store()->column_names);
+  GatherInto(b, store->owned.get());
+  return Dataset::FromStore(std::move(store), 0, len);
+}
 
 Result<BlockSet> PartitionDisjointView(const Dataset& data,
                                        std::size_t num_blocks, Rng* rng,
@@ -63,6 +62,7 @@ Result<BlockSet> PartitionDisjointView(const Dataset& data,
   const std::size_t base = n / num_blocks;
   const std::size_t rem = n % num_blocks;
   BlockSet set;
+  set.source = data;
   set.gamma = 1;
   set.slices.resize(num_blocks);
   std::size_t cursor = 0;
@@ -72,21 +72,19 @@ Result<BlockSet> PartitionDisjointView(const Dataset& data,
     set.slices[b] = BlockSlice{cursor, len};
     cursor += len;
   }
-  std::size_t* gather = arena->AllocateArray<std::size_t>(n);
+  set.rows.resize(n);
   for (std::size_t r = 0, i = 0; i < n; ++r) {
     const std::size_t dealt = std::min(num_blocks, n - i);
     for (std::size_t b = 0; b < dealt; ++b, ++i) {
-      gather[offsets[b] + r] = perm[i];
+      set.rows[offsets[b] + r] = perm[i];
     }
   }
-  set.store = GatherStore(data, gather, n);
   return set;
 }
 
 Result<BlockSet> PartitionResampledView(const Dataset& data,
                                         std::size_t block_size,
-                                        std::size_t gamma, Rng* rng,
-                                        Arena* scratch) {
+                                        std::size_t gamma, Rng* rng) {
   const std::size_t n = data.num_rows();
   if (n == 0) {
     return Status::InvalidArgument("cannot partition an empty dataset");
@@ -100,22 +98,20 @@ Result<BlockSet> PartitionResampledView(const Dataset& data,
     return Status::InvalidArgument("resampling factor gamma must be >= 1");
   }
   const std::size_t blocks_per_group = (n + block_size - 1) / block_size;
-  Arena local;
-  Arena* arena = scratch != nullptr ? scratch : &local;
   // Each group's blocks are contiguous slices of that group's permutation,
-  // so the gathered row order is simply the concatenated permutations.
-  std::size_t* gather = arena->AllocateArray<std::size_t>(gamma * n);
+  // so the row order is simply the concatenated permutations.
   BlockSet set;
+  set.source = data;
   set.gamma = gamma;
+  set.rows.resize(gamma * n);
   set.slices.reserve(gamma * blocks_per_group);
   for (std::size_t g = 0; g < gamma; ++g) {
-    rng->PermutationInto(n, gather + g * n);
+    rng->PermutationInto(n, set.rows.data() + g * n);
     for (std::size_t start = 0; start < n; start += block_size) {
       const std::size_t end = std::min(start + block_size, n);
       set.slices.push_back(BlockSlice{g * n + start, end - start});
     }
   }
-  set.store = GatherStore(data, gather, gamma * n);
   return set;
 }
 

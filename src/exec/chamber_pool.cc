@@ -1,7 +1,9 @@
 #include "exec/chamber_pool.h"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <sys/uio.h>
 #include <sys/wait.h>
@@ -10,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstring>
 #include <optional>
 #include <thread>
@@ -39,8 +40,8 @@ constexpr std::uint8_t kDimensionMismatch = 3;
 constexpr std::uint8_t kResolverError = 4;
 
 // Request header: cmd u8 | token_len u32 | num_dims u32 |
-// expected_dims u32 | num_rows u64, packed; the token and then num_dims
-// columns of num_rows f64 follow it in the same frame.
+// expected_dims u32 | num_rows u64, packed; the token follows it in the
+// same frame, and the block is in the worker's segment.
 constexpr std::size_t kRequestHeaderBytes = 1 + 4 + 4 + 4 + 8;
 // Response head: status u8 | violations u64 | cpu_user_ns i64 |
 // cpu_sys_ns i64 | max_rss_kb i64, then `n u64 | n x f64` when status is
@@ -72,7 +73,7 @@ bool TransferFully(ssize_t (*io)(int, const struct iovec*, int), int fd,
       --count;
     }
     if (count == 0) return true;
-    ssize_t n = io(fd, iov, std::min(count, IOV_MAX));
+    ssize_t n = io(fd, iov, count);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -148,6 +149,40 @@ bool ReadAtLeastWithDeadline(int fd, std::vector<char>* frame,
   return true;
 }
 
+Status ErrnoStatus(const char* call) {
+  std::string message = call;
+  message += " failed: ";
+  message += std::strerror(errno);
+  return Status::Internal(message);
+}
+
+/// Creates a sparse input segment of `bytes`: the memfd the worker will
+/// map, and the parent's read-write mapping of it, which no later fork
+/// inherits. The seals come last: F_SEAL_FUTURE_WRITE keeps the parent's
+/// mapping writable but refuses every later writable mapping, the
+/// worker's included, and the size is fixed.
+Status CreateSegment(std::size_t bytes, int* fd, double** mapping) {
+  const int segment =
+      ::memfd_create("gupt-chamber-segment", MFD_CLOEXEC | MFD_ALLOW_SEALING);
+  if (segment < 0) return ErrnoStatus("memfd_create()");
+  void* mapped = MAP_FAILED;
+  if (::ftruncate(segment, static_cast<off_t>(bytes)) != 0 ||
+      (mapped = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
+                       segment, 0)) == MAP_FAILED ||
+      ::madvise(mapped, bytes, MADV_DONTFORK) != 0 ||
+      ::fcntl(segment, F_ADD_SEALS,
+              F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_FUTURE_WRITE |
+                  F_SEAL_SEAL) != 0) {
+    Status error = ErrnoStatus("input segment setup");
+    if (mapped != MAP_FAILED) ::munmap(mapped, bytes);
+    ::close(segment);
+    return error;
+  }
+  *fd = segment;
+  *mapping = static_cast<double*>(mapped);
+  return Status::OK();
+}
+
 std::int64_t TimevalNs(const struct timeval& tv) {
   return static_cast<std::int64_t>(tv.tv_sec) * 1'000'000'000 +
          static_cast<std::int64_t>(tv.tv_usec) * 1'000;
@@ -173,10 +208,12 @@ ChamberPool::ChamberPool(ChamberPolicy policy, std::size_t num_workers)
       "Clean leases after which the worker was reset and reused.");
   respawns_counter_ = registry.GetCounter(
       "gupt_chamber_pool_respawns_total",
-      "Workers discarded (crash, timeout, or reset failpoint) and replaced.");
+      "Workers discarded (crash, timeout, reset failpoint, or a block larger "
+      "than the segment) and replaced.");
   shipped_bytes_counter_ = registry.GetCounter(
       "gupt_chamber_pool_shipped_bytes_total",
-      "Request-frame bytes shipped to pool workers (tokens plus columns).");
+      "Request-frame bytes written to pool worker pipes (headers plus "
+      "tokens).");
   lease_wait_histogram_ = registry.GetHistogram(
       "gupt_chamber_pool_lease_wait_seconds",
       "Time a block waited for a free pool worker.",
@@ -190,8 +227,14 @@ void ChamberPool::SetProgramResolver(ProgramResolver resolver) {
   resolver_ = std::move(resolver);
 }
 
-[[noreturn]] void ChamberPool::WorkerMain(int request_fd,
-                                          int response_fd) const {
+[[noreturn]] void ChamberPool::WorkerMain(int request_fd, int response_fd,
+                                          int segment_fd,
+                                          std::size_t segment_bytes) const {
+  void* mapped =
+      ::mmap(nullptr, segment_bytes, PROT_READ, MAP_SHARED, segment_fd, 0);
+  ::close(segment_fd);
+  if (mapped == MAP_FAILED) ::_exit(1);
+  const auto* segment = static_cast<const double*>(mapped);
   for (;;) {
     std::uint8_t cmd = 0;
     if (!ReadFully(request_fd, &cmd, sizeof(cmd))) ::_exit(0);
@@ -208,19 +251,11 @@ void ChamberPool::SetProgramResolver(ProgramResolver resolver) {
     in = Get(in, &num_dims);
     in = Get(in, &expected_dims);
     Get(in, &num_rows);
-    // The rest of the frame lands straight in the token and the block's
-    // column vectors.
     std::string token(token_len, '\0');
-    std::vector<std::vector<double>> columns(num_dims);
-    std::vector<struct iovec> iov;
-    iov.reserve(1 + num_dims);
-    iov.push_back({token.data(), token_len});
-    for (std::vector<double>& column : columns) {
-      column.resize(num_rows);
-      iov.push_back({column.data(), num_rows * sizeof(double)});
-    }
-    if (!TransferFully(::readv, request_fd, iov.data(),
-                       static_cast<int>(iov.size()))) {
+    if (!ReadFully(request_fd, token.data(), token_len)) ::_exit(1);
+    // A block that does not fit the segment is a malformed frame.
+    if (num_dims == 0 || num_rows == 0 ||
+        num_rows > segment_bytes / sizeof(double) / num_dims) {
       ::_exit(1);
     }
 
@@ -243,13 +278,15 @@ void ChamberPool::SetProgramResolver(ProgramResolver resolver) {
       ChamberServices services(policy_);
       Result<Row> result = Status::Internal("never ran");
       try {
-        Result<Dataset> block = Dataset::FromColumns(std::move(columns));
-        if (!block.ok()) {
-          result = block.status();
-        } else {
-          std::unique_ptr<AnalysisProgram> program = factory.value()();
-          result = program->RunWithServices(block.value(), &services);
-        }
+        // The program reads the block in place, through a store that
+        // borrows the read-only mapping.
+        auto store = std::make_shared<ColumnStore>();
+        store->base = segment;
+        store->num_rows = num_rows;
+        store->num_dims = num_dims;
+        const Dataset block = Dataset::FromStore(std::move(store), 0, num_rows);
+        std::unique_ptr<AnalysisProgram> program = factory.value()();
+        result = program->RunWithServices(block, &services);
       } catch (...) {
         result = Status::PolicyViolation("program threw");
       }
@@ -292,40 +329,43 @@ void ChamberPool::SetProgramResolver(ProgramResolver resolver) {
 
 Status ChamberPool::SpawnSlotLocked(std::size_t slot) {
   GUPT_FAILPOINT_STATUS("exec.pool.spawn");
-  int to_child[2];
-  int from_child[2];
-  if (::pipe(to_child) != 0) {
-    return Status::Internal("pipe() failed: " +
-                            std::string(std::strerror(errno)));
-  }
-  if (::pipe(from_child) != 0) {
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    return Status::Internal("pipe() failed: " +
-                            std::string(std::strerror(errno)));
-  }
-  pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
-    return Status::Internal("fork() failed: " +
-                            std::string(std::strerror(errno)));
+  Worker& w = slots_[slot];
+  int segment_fd = -1;
+  GUPT_RETURN_IF_ERROR(
+      CreateSegment(w.segment_bytes, &segment_fd, &w.segment));
+  int to_child[2] = {-1, -1};
+  int from_child[2] = {-1, -1};
+  pid_t pid = -1;
+  if (::pipe(to_child) != 0 || ::pipe(from_child) != 0 ||
+      (pid = ::fork()) < 0) {
+    Status error = ErrnoStatus("pipe() or fork()");
+    for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
+      if (fd >= 0) ::close(fd);
+    }
+    ::close(segment_fd);
+    ::munmap(w.segment, w.segment_bytes);
+    w.segment = nullptr;
+    return error;
   }
   if (pid == 0) {
+    // The worker keeps only its own descriptors: every other slot's pipe
+    // ends stay with the parent (this slot's are -1 until below).
+    for (const Worker& other : slots_) {
+      if (other.to_child >= 0) ::close(other.to_child);
+      if (other.from_child >= 0) ::close(other.from_child);
+    }
     ::close(to_child[1]);
     ::close(from_child[0]);
-    WorkerMain(to_child[0], from_child[1]);
+    WorkerMain(to_child[0], from_child[1], segment_fd, w.segment_bytes);
   }
+  ::close(segment_fd);
   ::close(to_child[0]);
   ::close(from_child[1]);
-  Worker& w = slots_[slot];
   w.pid = pid;
   w.to_child = to_child[1];
   w.from_child = from_child[0];
   w.alive = true;
-  free_slots_.push_back(slot);
+  w.dirty_bytes = 0;
   ++stats_.spawned;
   ++stats_.workers_alive;
   spawned_counter_->Increment();
@@ -341,10 +381,13 @@ void ChamberPool::DiscardSlotLocked(std::size_t slot, bool kill) {
   ::close(w.from_child);
   while (::waitpid(w.pid, nullptr, 0) < 0 && errno == EINTR) {
   }
+  ::munmap(w.segment, w.segment_bytes);
   w.pid = -1;
   w.to_child = -1;
   w.from_child = -1;
   w.alive = false;
+  w.segment = nullptr;
+  w.dirty_bytes = 0;
   --stats_.workers_alive;
   workers_gauge_->Set(static_cast<double>(stats_.workers_alive));
 }
@@ -359,7 +402,7 @@ Status ChamberPool::Start() {
     // A failed spawn (exec.pool.spawn, ENOMEM, ...) leaves the slot dead;
     // it is retried at the next lease. Only a pool with zero live workers
     // is unusable.
-    (void)SpawnSlotLocked(slot);
+    if (SpawnSlotLocked(slot).ok()) free_slots_.push_back(slot);
   }
   if (free_slots_.empty()) {
     return Status::Internal("chamber pool failed to spawn any worker");
@@ -393,31 +436,32 @@ int ChamberPool::LeaseSlotLocked(std::unique_lock<std::mutex>* lock) {
     }
     // Revive dead slots before waiting: a crashed worker's slot is
     // respawned lazily, here, by whichever lease needs it next.
-    bool revived = false;
     for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-      if (!slots_[slot].alive &&
-          SpawnSlotLocked(slot).ok()) {
+      if (!slots_[slot].alive && SpawnSlotLocked(slot).ok()) {
         ++stats_.respawns;
         respawns_counter_->Increment();
-        revived = true;
-        break;
+        ++leased_count_;
+        return static_cast<int>(slot);
       }
     }
-    if (revived) continue;
     if (leased_count_ == 0) return -1;  // nothing running, nothing leasable
     worker_free_.wait(*lock);
   }
 }
 
 Result<ChamberRun> ChamberPool::Execute(const std::string& program_token,
-                                        const DatasetView& block,
+                                        const BlockSet& blocks, std::size_t b,
                                         const Row& fallback) {
   if (fallback.empty()) {
     return Status::InvalidArgument("fallback must be non-empty");
   }
-  if (block.num_rows() == 0 || block.num_dims() == 0) {
+  const std::size_t num_dims = blocks.source.num_dims();
+  const std::size_t num_rows =
+      b < blocks.num_blocks() ? blocks.slices[b].length : 0;
+  if (num_rows == 0 || num_dims == 0) {
     return Status::InvalidArgument("pooled execution needs a non-empty block");
   }
+  const std::size_t block_bytes = num_rows * num_dims * sizeof(double);
   obs::prof::ScopedStageTag stage_tag("chamber_pool");
 
   const auto start = Clock::now();
@@ -464,39 +508,57 @@ Result<ChamberRun> ChamberPool::Execute(const std::string& program_token,
       return Status::Internal("chamber pool has no leasable worker");
     }
     ++stats_.leases;
+    Worker& leased = slots_[static_cast<std::size_t>(slot)];
+    if (!inject_crash && leased.segment_bytes < block_bytes) {
+      // The block outgrew this worker's segment: replace the worker with
+      // one whose segment fits, rather than refuse the block.
+      DiscardSlotLocked(static_cast<std::size_t>(slot), /*kill=*/true);
+      while (leased.segment_bytes < block_bytes) leased.segment_bytes *= 2;
+      Status respawned = SpawnSlotLocked(static_cast<std::size_t>(slot));
+      if (!respawned.ok()) {
+        --leased_count_;
+        lock.unlock();
+        worker_free_.notify_one();
+        return respawned;
+      }
+      ++stats_.respawns;
+      respawns_counter_->Increment();
+    }
   }
   leases_counter_->Increment();
   lease_wait_histogram_->Observe(
       std::chrono::duration<double>(Clock::now() - start).count());
   Worker& w = slots_[static_cast<std::size_t>(slot)];  // stable after Start
 
-  // Ship the request as one frame and one writev: header, token and every
-  // column slice straight from the block's store, with no staging copy. A
+  // The lease owns the slot, so its segment is written without the lock:
+  // the block, then zeros over whatever the previous lease left past it.
+  if (!inject_crash) {
+    blocks.GatherInto(b, w.segment);
+    if (w.dirty_bytes > block_bytes) {
+      std::memset(reinterpret_cast<char*>(w.segment) + block_bytes, 0,
+                  w.dirty_bytes - block_bytes);
+    }
+    w.dirty_bytes = block_bytes;
+  }
+
+  // Ship the request as one frame and one writev: header and token. A
   // failed write means the worker is already dead (EPIPE); that is the
   // same story as EOF below.
   char header[kRequestHeaderBytes];
   char* out = Put(header, inject_crash ? kCmdCrash : kCmdRun);
-  std::vector<struct iovec> request;
-  if (inject_crash) {
-    request.push_back({header, 1});  // a bare command byte
-  } else {
+  struct iovec request[2] = {
+      {header, 1},  // a bare command byte for a crash
+      {const_cast<char*>(program_token.data()), 0}};
+  if (!inject_crash) {
     out = Put(out, static_cast<std::uint32_t>(program_token.size()));
-    out = Put(out, static_cast<std::uint32_t>(block.num_dims()));
+    out = Put(out, static_cast<std::uint32_t>(num_dims));
     out = Put(out, static_cast<std::uint32_t>(fallback.size()));
-    Put(out, static_cast<std::uint64_t>(block.num_rows()));
-    request.reserve(2 + block.num_dims());
-    request.push_back({header, sizeof(header)});
-    request.push_back({const_cast<char*>(program_token.data()),
-                       program_token.size()});
-    for (std::size_t d = 0; d < block.num_dims(); ++d) {
-      request.push_back({const_cast<double*>(block.col(d)),
-                         block.num_rows() * sizeof(double)});
-    }
+    Put(out, static_cast<std::uint64_t>(num_rows));
+    request[0].iov_len = sizeof(header);
+    request[1].iov_len = program_token.size();
   }
-  std::uint64_t frame_bytes = 0;
-  for (const struct iovec& part : request) frame_bytes += part.iov_len;
-  const bool shipped = TransferFully(::writev, w.to_child, request.data(),
-                                     static_cast<int>(request.size()));
+  const std::uint64_t frame_bytes = request[0].iov_len + request[1].iov_len;
+  const bool shipped = TransferFully(::writev, w.to_child, request, 2);
   shipped_bytes_counter_->Increment(static_cast<double>(frame_bytes));
 
   // Read the response under the deadline (when shipping already failed we

@@ -4,30 +4,44 @@
 // computation instances map naturally onto one subprocess per block, but
 // at service rates the fork/page-table/exit cost dominates small blocks.
 // ChamberPool forks N worker processes ONCE, at service start, from a
-// single-threaded point, and thereafter *leases* a worker per block over a
-// pipe protocol of one frame each way per lease (packed, native byte
-// order):
+// single-threaded point, and thereafter *leases* a worker per block. The
+// block reaches the worker through memory, and the pipe carries one small
+// frame each way per lease (packed, native byte order):
 //
 //   parent --> worker   cmd u8 | token_len u32 | num_dims u32 |
-//                       expected_dims u32 | num_rows u64 | token |
-//                       num_dims x num_rows f64, columns in dim order
+//                       expected_dims u32 | num_rows u64 | token
 //   worker --> parent   status u8 | violations u64 | cpu_user_ns i64 |
 //                       cpu_sys_ns i64 | max_rss_kb i64, then
 //                       n u64 | n x f64 when status is ok
 //
-// The parent sends its frame with one writev whose iovecs point straight
-// into the block's column store; the worker reads the command byte and
-// the header, then fills the token and its column vectors with one readv,
-// and answers with one write. Both sides resume short transfers, so a
-// block larger than the pipe buffer crosses in pieces. The crash and
-// shutdown commands are a bare cmd byte.
+// Each worker has a private input segment: a memfd the parent creates
+// before forking the worker. A lease takes four steps: lease a worker,
+// gather the block straight into its segment (num_dims columns of
+// num_rows f64, column after column), zero whatever the previous lease
+// left past the block, and write the frame. The worker maps the segment
+// read-only and runs the program over it in place, then answers with one
+// write. Both sides resume short transfers. The crash and shutdown
+// commands are a bare cmd byte. The segment is a sparse reservation of
+// kInitialSegmentBytes, so only the pages blocks touch cost memory; a
+// block that does not fit respawns its worker with a segment that does.
 //
-// No shared memory: each worker receives only its own block's bytes, by
-// copy through its pipe. Mapping the gathered store (or any shared
-// segment) into workers would let a program read the query's other
-// blocks, and a block output that depends on more than one block breaks
-// the sample-and-aggregate sensitivity argument (paper §4, §6.2). The
-// copy is the price of that isolation.
+// What a worker can read. Mapping the query's data (or any segment
+// shared between workers) into a worker would let a program read the
+// query's other blocks, and a block output that depends on more than one
+// block breaks the sample-and-aggregate sensitivity argument (paper §4,
+// §6.2). So:
+//   * at lease time a worker's segment holds only its current block,
+//     followed by zeros;
+//   * a worker holds no other worker's segment, mapping or descriptor:
+//     the parent's mappings are MADV_DONTFORK, the parent closes each
+//     segment's fd once its worker is forked, and a new worker closes the
+//     pipe ends of the other slots it inherited;
+//   * a worker cannot write its own segment: the segment is sealed with
+//     F_SEAL_FUTURE_WRITE before the fork, so the worker's mapping is
+//     read-only and cannot be made writable;
+//   * the parent never reads a segment back.
+// A worker that is discarded (crash, timeout, malformed frame, reset
+// failpoint) takes its segment with it.
 //
 // Worker lifecycle (see docs/architecture.md "Chamber lifecycle"):
 //
@@ -47,13 +61,13 @@
 // ProcessChamber fork path.
 //
 // Isolation properties match ProcessChamber with one deliberate relaxation:
-// a worker's address space survives across leases of *different* queries.
-// Program instances are still constructed fresh per lease and scratch
-// state lives in per-lease ChamberServices, so the §6.2 state-attack
-// defence (no information flow between per-block executions through
-// program state) holds; a malicious program that corrupts the worker
-// process itself crashes the lease and the worker is discarded, never
-// reused.
+// a worker's address space, its segment included, survives across leases
+// of *different* queries. Program instances are still constructed fresh
+// per lease and scratch state lives in per-lease ChamberServices, so the
+// §6.2 state-attack defence (no information flow between per-block
+// executions through program state) holds; a malicious program that
+// corrupts the worker process itself crashes the lease and the worker is
+// discarded, never reused.
 
 #ifndef GUPT_EXEC_CHAMBER_POOL_H_
 #define GUPT_EXEC_CHAMBER_POOL_H_
@@ -70,7 +84,7 @@
 
 #include "common/status.h"
 #include "common/vec.h"
-#include "data/dataset.h"
+#include "data/partitioner.h"
 #include "exec/chamber.h"
 #include "exec/program.h"
 #include "obs/metrics.h"
@@ -97,6 +111,10 @@ struct ChamberPoolStats {
 
 class ChamberPool {
  public:
+  /// Every worker's first input segment; a larger block respawns its
+  /// worker with the next power of two that fits.
+  static constexpr std::size_t kInitialSegmentBytes = std::size_t{4} << 20;
+
   /// `num_workers` must be >= 1. The policy's deadline/pad_to_deadline are
   /// enforced parent-side per lease; scratch/message limits apply inside
   /// the worker's per-lease ChamberServices.
@@ -116,14 +134,17 @@ class ChamberPool {
   /// lease — but having zero live workers after Start is an error.
   Status Start();
 
-  /// Leases a worker, ships `block`'s columns, and awaits the result.
-  /// Mirrors ProcessChamber::Execute semantics: program misbehaviour,
-  /// crashes, and deadline overruns all become `fallback` substitutions
-  /// (never an error status), so the aggregate's sensitivity analysis is
-  /// untouched. Errors only on caller bugs or a pool with no leasable
-  /// worker. Thread-safe; blocks while all workers are leased.
+  /// Leases a worker, gathers block `b` of `blocks` into its segment, and
+  /// awaits the result. Mirrors ProcessChamber::Execute semantics: program
+  /// misbehaviour, crashes, and deadline overruns all become `fallback`
+  /// substitutions (never an error status), so the aggregate's
+  /// sensitivity analysis is untouched. Errors only on caller bugs, a
+  /// pool with no leasable worker, or a failed respawn for a block that
+  /// outgrew its worker's segment. Thread-safe; blocks while all workers
+  /// are leased.
   Result<ChamberRun> Execute(const std::string& program_token,
-                             const DatasetView& block, const Row& fallback);
+                             const BlockSet& blocks, std::size_t b,
+                             const Row& fallback);
 
   /// Stops all workers (idempotent; also run by the destructor).
   void Shutdown();
@@ -138,14 +159,24 @@ class ChamberPool {
     int to_child = -1;    // parent writes request frames here
     int from_child = -1;  // parent reads response frames here
     bool alive = false;
+    // The worker's input segment as the parent sees it: a read-write
+    // mapping the parent writes and never reads, its size (kept across
+    // respawns, so a grown slot stays grown), and how many bytes the last
+    // lease wrote.
+    double* segment = nullptr;
+    std::size_t segment_bytes = kInitialSegmentBytes;
+    std::size_t dirty_bytes = 0;
   };
 
-  // All three run with mu_ held.
+  // All three run with mu_ held. A spawned slot is not put on the free
+  // list; its caller leases it or frees it.
   Status SpawnSlotLocked(std::size_t slot);
   void DiscardSlotLocked(std::size_t slot, bool kill);
   int LeaseSlotLocked(std::unique_lock<std::mutex>* lock);
 
-  [[noreturn]] void WorkerMain(int request_fd, int response_fd) const;
+  [[noreturn]] void WorkerMain(int request_fd, int response_fd,
+                               int segment_fd,
+                               std::size_t segment_bytes) const;
 
   ChamberPolicy policy_;
   ProgramResolver resolver_;

@@ -83,10 +83,10 @@ Result<BlockExecutionReport> ComputationManager::ExecuteOnBlocks(
       return;
     }
     Result<ChamberRun> run = Status::Internal("never ran");
+    // Each block is gathered here, on the thread that runs it: straight
+    // into a pooled worker's segment, or into a fresh store.
     if (use_pool) {
-      // Pre-warmed worker lease: zero-copy view in, contiguous column
-      // slices over the pipe, no fork on this path.
-      run = chamber_pool_->Execute(pool_token, blocks.view(i), fallback);
+      run = chamber_pool_->Execute(pool_token, blocks, i, fallback);
     } else if (chamber_.policy().process_isolation) {
       run = ProcessChamber(chamber_.policy())
                 .Execute(factory, blocks.block(i), fallback);

@@ -64,8 +64,8 @@ class ComputationManager {
                      ChamberPool* chamber_pool = nullptr);
 
   /// Executes a fresh instance of the program on every block of `blocks`
-  /// inside a chamber. Blocks are zero-copy views into the BlockSet's
-  /// gathered store. `fallback` is the constant substituted for
+  /// inside a chamber. Each fan-out task gathers its own block just
+  /// before it runs. `fallback` is the constant substituted for
   /// failed/overrun blocks and for outputs holding a NaN (which the clamp
   /// would pass through to the release); it must match the program's
   /// output dimension.

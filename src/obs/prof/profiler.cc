@@ -45,8 +45,11 @@ std::size_t g_capacity = 0;
 thread_local const char* tl_stage_tag = nullptr;
 
 // Async-signal-safe sample capture, shared by the SIGPROF handler and
-// TickForTesting. Returns false when the buffer is full.
-bool RecordSample() {
+// TickForTesting. Returns false when the buffer is full. Always inlined,
+// at -O0 too: its own frame would be unsymbolized (internal linkage), and
+// FoldedStacks trims the machinery only up to the first frame it cannot
+// name.
+[[gnu::always_inline]] inline bool RecordSample() {
   std::size_t idx = g_next.fetch_add(1, std::memory_order_relaxed);
   if (idx >= g_capacity) {
     g_dropped.fetch_add(1, std::memory_order_relaxed);

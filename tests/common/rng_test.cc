@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -168,6 +169,18 @@ TEST(RngTest, CategoricalRespectsWeights) {
 TEST(RngTest, CategoricalSingleElement) {
   Rng rng(61);
   EXPECT_EQ(rng.Categorical({5.0}), 0u);
+}
+
+TEST(RngTest, CategoricalWithANaNWeightPicksTheLastPositiveAfterOneDraw) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(62);
+  Rng twin(62);
+  EXPECT_EQ(rng.Categorical({1.0, nan, 2.0, 0.0}), 2u);
+  EXPECT_EQ(rng.Categorical({nan, 0.0}), 1u);  // no positive weight
+  EXPECT_EQ(rng.Categorical({nan}), 0u);
+  // Each call consumed exactly one uniform, as a valid draw does.
+  for (int i = 0; i < 3; ++i) (void)twin.UniformDouble();
+  EXPECT_EQ(rng.UniformUint64(1u << 30), twin.UniformUint64(1u << 30));
 }
 
 TEST(RngTest, PermutationIsAPermutation) {

@@ -49,7 +49,7 @@ std::vector<double> SkewedData(std::size_t n, Rng* rng) {
   return values;
 }
 
-double MedianOfBlock(const DatasetView& block) {
+double MedianOfBlock(const Dataset& block) {
   std::vector<double> values(block.col(0), block.col(0) + block.num_rows());
   std::sort(values.begin(), values.end());
   const std::size_t m = values.size();
@@ -62,7 +62,7 @@ double MedianOfBlock(const DatasetView& block) {
 double BlockAverage(const BlockSet& blocks) {
   double sum = 0.0;
   for (std::size_t b = 0; b < blocks.num_blocks(); ++b) {
-    sum += MedianOfBlock(blocks.view(b));
+    sum += MedianOfBlock(blocks.block(b));
   }
   return sum / static_cast<double>(blocks.num_blocks());
 }

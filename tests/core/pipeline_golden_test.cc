@@ -25,6 +25,7 @@
 #include "data/synthetic.h"
 #include "dp/amplification.h"
 #include "exec/chamber_pool.h"
+#include "obs/metrics.h"
 
 namespace gupt {
 namespace {
@@ -179,9 +180,10 @@ TEST(PipelineGoldenTest, PooledChambersAreBitIdenticalToInThread) {
 }
 
 TEST(PipelineGoldenTest, PooledMultiColumnReleaseIsBitIdenticalToInThread) {
-  // The golden above ships one column per block. OLS on the life-sciences
-  // table ships all eleven, so every column slice of each request frame
-  // must land in its place for the two releases to agree bit for bit.
+  // The golden above gathers one column per block. OLS on the
+  // life-sciences table gathers all eleven, so every column of each block
+  // must land in its place in the worker's segment for the two releases
+  // to agree bit for bit.
   analytics::LinearRegressionOptions ols;
   ols.feature_dims = {0, 1, 2};
   ols.target_dim = 3;
@@ -217,6 +219,9 @@ TEST(PipelineGoldenTest, PooledMultiColumnReleaseIsBitIdenticalToInThread) {
         return analytics::LinearRegressionQuery(ols);
       });
   ASSERT_TRUE(pool.Start().ok());
+  obs::Counter* copied = obs::MetricsRegistry::Get().GetCounter(
+      "gupt_data_partition_copied_bytes_total", "");
+  const double copied_before = copied->Value();
   auto pooled = release(&pool);
   ASSERT_TRUE(pooled.ok()) << pooled.status();
 
@@ -227,8 +232,10 @@ TEST(PipelineGoldenTest, PooledMultiColumnReleaseIsBitIdenticalToInThread) {
   ChamberPoolStats stats = pool.Stats();
   EXPECT_EQ(stats.leases, 20u);
   EXPECT_EQ(stats.respawns, 0u);
-  // Each lease shipped the 21-byte header, the token and 11 columns.
-  EXPECT_EQ(stats.shipped_bytes, 20u * (21 + 3 + 200 * 11 * sizeof(double)));
+  // Each lease gathered the block's 11 columns into its worker's segment
+  // and shipped only the 21-byte header and the token.
+  EXPECT_EQ(copied->Value() - copied_before, 20.0 * 200 * 11 * sizeof(double));
+  EXPECT_EQ(stats.shipped_bytes, 20u * (21 + 3));
 }
 
 TEST(PipelineGoldenTest, GammaResamplingWithExplicitBlockSize) {

@@ -7,6 +7,8 @@
 #include <set>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace gupt {
 namespace {
 
@@ -26,12 +28,18 @@ Dataset IndexedDataset(std::size_t n) {
 std::vector<std::vector<std::size_t>> BlockRows(const BlockSet& set) {
   std::vector<std::vector<std::size_t>> blocks(set.num_blocks());
   for (std::size_t b = 0; b < set.num_blocks(); ++b) {
-    DatasetView view = set.view(b);
-    for (std::size_t r = 0; r < view.num_rows(); ++r) {
-      blocks[b].push_back(static_cast<std::size_t>(view.at(r, 0)));
+    Dataset block = set.block(b);
+    for (std::size_t r = 0; r < block.num_rows(); ++r) {
+      blocks[b].push_back(static_cast<std::size_t>(block.at(r, 0)));
     }
   }
   return blocks;
+}
+
+double CopiedBytes() {
+  return obs::MetricsRegistry::Get()
+      .GetCounter("gupt_data_partition_copied_bytes_total", "")
+      ->Value();
 }
 
 // The index plan the partitioner's documented layout implies, computed
@@ -64,18 +72,23 @@ std::vector<std::vector<std::size_t>> ResampledPlan(std::size_t n,
 }
 
 // Asserts that every block of `set` holds exactly its plan's rows, in
-// order and in every column: data.Subset(plan[b]) of the source.
+// order and in every column: data.Subset(plan[b]) of the source, both as
+// block(b) and as GatherInto's column-major buffer.
 void ExpectMatchesPlan(const Dataset& data, const BlockSet& set,
                        const std::vector<std::vector<std::size_t>>& plan) {
   ASSERT_EQ(set.num_blocks(), plan.size());
   for (std::size_t b = 0; b < plan.size(); ++b) {
     Dataset expected = data.Subset(plan[b]).value();
-    DatasetView view = set.view(b);
-    ASSERT_EQ(view.num_rows(), expected.num_rows()) << "block " << b;
-    ASSERT_EQ(view.num_dims(), expected.num_dims());
-    for (std::size_t d = 0; d < view.num_dims(); ++d) {
-      for (std::size_t r = 0; r < view.num_rows(); ++r) {
-        ASSERT_EQ(view.at(r, d), expected.at(r, d))
+    Dataset block = set.block(b);
+    std::vector<double> gathered(expected.num_rows() * expected.num_dims());
+    set.GatherInto(b, gathered.data());
+    ASSERT_EQ(block.num_rows(), expected.num_rows()) << "block " << b;
+    ASSERT_EQ(block.num_dims(), expected.num_dims());
+    for (std::size_t d = 0; d < block.num_dims(); ++d) {
+      for (std::size_t r = 0; r < block.num_rows(); ++r) {
+        ASSERT_EQ(block.at(r, d), expected.at(r, d))
+            << "block " << b << " row " << r << " dim " << d;
+        ASSERT_EQ(gathered[d * block.num_rows() + r], expected.at(r, d))
             << "block " << b << " row " << r << " dim " << d;
       }
     }
@@ -112,7 +125,7 @@ TEST(PartitionDisjointTest, BlockSizesDifferByAtMostOne) {
 TEST(PartitionDisjointTest, SingleBlockHoldsEverything) {
   Rng rng(3);
   auto set = PartitionDisjointView(IndexedDataset(10), 1, &rng).value();
-  EXPECT_EQ(set.view(0).num_rows(), 10u);
+  EXPECT_EQ(set.block(0).num_rows(), 10u);
 }
 
 TEST(PartitionDisjointTest, NBlocksOfOne) {
@@ -207,8 +220,7 @@ TEST(DefaultNumBlocksTest, EdgeCases) {
   EXPECT_LE(DefaultNumBlocks(2), 2u);
 }
 
-// MaterializeBlocksTest: the one gather that materializes a partition's
-// blocks into a shared block-shuffled store.
+// MaterializeBlocksTest: gathering a partition's blocks where they run.
 TEST(MaterializeBlocksTest, BlocksMatchSubsetGatherOrder) {
   Dataset data = IndexedDataset(40);
   Rng plan_rng(21), view_rng(21);
@@ -218,17 +230,27 @@ TEST(MaterializeBlocksTest, BlocksMatchSubsetGatherOrder) {
   ExpectMatchesPlan(data, set, plan);
 }
 
-TEST(MaterializeBlocksTest, ViewsAliasOneSharedStore) {
+TEST(MaterializeBlocksTest, PartitionCopiesNothingAndEachGatherItsBlock) {
   Rng rng(22);
-  BlockSet set = PartitionDisjointView(IndexedDataset(30), 5, &rng).value();
-  // Every block's column pointer lies inside the one gathered store, at
-  // its slice offset — no per-block copies.
+  Dataset data = Dataset::Create(IndexedDataset(30).MaterializeRows(),
+                                 {"index", "shifted"})
+                     .value();
+  const double before = CopiedBytes();
+  BlockSet set = PartitionDisjointView(data, 5, &rng).value();
+  // The set holds a handle on the source's own store and copies no cell.
+  EXPECT_EQ(set.source.store(), data.store());
+  EXPECT_EQ(CopiedBytes(), before);
+  // Each gather copies exactly its own block's cells, into a store of its
+  // own; the column names are shared, not copied.
+  double copied = 0.0;
   for (std::size_t b = 0; b < set.num_blocks(); ++b) {
-    EXPECT_EQ(set.view(b).col(0),
-              set.store->columns[0].data() + set.slices[b].offset);
-    EXPECT_EQ(set.block(b).col(0),
-              set.store->columns[0].data() + set.slices[b].offset);
+    Dataset block = set.block(b);
+    EXPECT_NE(block.store(), data.store());
+    EXPECT_EQ(block.store()->column_names, data.store()->column_names);
+    copied += static_cast<double>(set.slices[b].length * 2 * sizeof(double));
+    EXPECT_EQ(CopiedBytes() - before, copied) << "block " << b;
   }
+  EXPECT_EQ(copied, 30.0 * 2 * sizeof(double));
 }
 
 TEST(PartitionViewTest, DisjointViewMatchesPlanPathExactly) {
@@ -247,10 +269,8 @@ TEST(PartitionViewTest, DisjointViewMatchesPlanPathExactly) {
 TEST(PartitionViewTest, ResampledViewMatchesPlanPathExactly) {
   Dataset data = IndexedDataset(53);
   Rng plan_rng(34), view_rng(34);
-  Arena scratch;
   const auto plan = ResampledPlan(53, 10, 3, &plan_rng);
-  BlockSet set =
-      PartitionResampledView(data, 10, 3, &view_rng, &scratch).value();
+  BlockSet set = PartitionResampledView(data, 10, 3, &view_rng).value();
   EXPECT_EQ(set.gamma, 3u);
   EXPECT_EQ(plan_rng.UniformUint64(1u << 30), view_rng.UniformUint64(1u << 30))
       << "the partition consumed a different number of RNG draws";
@@ -262,14 +282,13 @@ TEST(PartitionViewTest, ArenaScratchIsReusableAcrossQueries) {
   Arena scratch;
   Rng rng(35);
   BlockSet first = PartitionDisjointView(data, 9, &rng, &scratch).value();
-  // The BlockSet's store owns its rows — resetting the scratch arena (as
-  // PartitionStage does at the start of the next query) must not disturb
-  // the previous result.
-  std::vector<double> before(first.store->columns[0]);
+  // The BlockSet owns its row indices — resetting the scratch arena (as
+  // PartitionStage does at the start of the next query) and partitioning
+  // again in it must not change the first set's blocks.
+  const std::vector<std::vector<std::size_t>> before = BlockRows(first);
   scratch.Reset();
-  BlockSet second =
-      PartitionResampledView(data, 10, 2, &rng, &scratch).value();
-  EXPECT_EQ(first.store->columns[0], before);
+  BlockSet second = PartitionDisjointView(data, 20, &rng, &scratch).value();
+  EXPECT_EQ(BlockRows(first), before);
   EXPECT_EQ(second.num_blocks(), 2u * 10u);
 }
 

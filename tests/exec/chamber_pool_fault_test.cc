@@ -8,6 +8,7 @@
 
 #include "exec/chamber_pool.h"
 
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,16 @@ Config FireAlways(Action action = Action::kError) {
 
 Dataset OneColumn(std::vector<double> values) {
   return Dataset::FromColumn(values).value();
+}
+
+/// One block holding every row of `data`, in order.
+BlockSet WholeBlock(const Dataset& data) {
+  BlockSet set;
+  set.source = data;
+  set.rows.resize(data.num_rows());
+  std::iota(set.rows.begin(), set.rows.end(), std::size_t{0});
+  set.slices = {BlockSlice{0, data.num_rows()}};
+  return set;
 }
 
 ProgramResolver SumResolver() {
@@ -89,7 +100,7 @@ TEST_F(ChamberPoolFaultTest, PartialSpawnFaultDegradesThenHealsAtLease) {
   failpoints::DisarmAll();
   Dataset data = OneColumn({1, 2});
   for (int i = 0; i < 3; ++i) {
-    auto run = pool.Execute("sum", data.view(), Row{0.0});
+    auto run = pool.Execute("sum", WholeBlock(data), 0, Row{0.0});
     ASSERT_TRUE(run.ok());
     EXPECT_EQ(run->output, (Row{3.0}));
   }
@@ -102,7 +113,7 @@ TEST_F(ChamberPoolFaultTest, LeaseErrorFaultFallsBackWithoutTouchingAWorker) {
   Dataset data = OneColumn({1, 2, 3});
 
   ScopedFailpoint fp("exec.pool.lease", FireAlways(Action::kError));
-  auto run = pool.Execute("sum", data.view(), Row{0.5});
+  auto run = pool.Execute("sum", WholeBlock(data), 0, Row{0.5});
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->used_fallback);
   EXPECT_EQ(run->output, (Row{0.5}));
@@ -114,7 +125,7 @@ TEST_F(ChamberPoolFaultTest, LeaseErrorFaultFallsBackWithoutTouchingAWorker) {
   EXPECT_EQ(stats.respawns, 0u);
 
   failpoints::DisarmAll();
-  auto healthy = pool.Execute("sum", data.view(), Row{0.5});
+  auto healthy = pool.Execute("sum", WholeBlock(data), 0, Row{0.5});
   ASSERT_TRUE(healthy.ok());
   EXPECT_EQ(healthy->output, (Row{6.0}));
 }
@@ -130,7 +141,7 @@ TEST_F(ChamberPoolFaultTest, LeaseCrashFaultKillsWorkerAndRespawns) {
 
   {
     ScopedFailpoint fp("exec.pool.lease", FireAlways(Action::kCrash));
-    auto run = pool.Execute("sum", data.view(), Row{7.0});
+    auto run = pool.Execute("sum", WholeBlock(data), 0, Row{7.0});
     ASSERT_TRUE(run.ok());
     EXPECT_TRUE(run->used_fallback);
     EXPECT_EQ(run->output, (Row{7.0}));
@@ -139,7 +150,7 @@ TEST_F(ChamberPoolFaultTest, LeaseCrashFaultKillsWorkerAndRespawns) {
   }
   EXPECT_EQ(pool.Stats().workers_alive, 0u);
 
-  auto next = pool.Execute("sum", data.view(), Row{0.0});
+  auto next = pool.Execute("sum", WholeBlock(data), 0, Row{0.0});
   ASSERT_TRUE(next.ok());
   EXPECT_FALSE(next->used_fallback);
   EXPECT_EQ(next->output, (Row{6.0}));
@@ -159,7 +170,7 @@ TEST_F(ChamberPoolFaultTest, ResetFaultKeepsTheAnswerButDiscardsTheWorker) {
 
   {
     ScopedFailpoint fp("exec.pool.reset", FireAlways());
-    auto run = pool.Execute("sum", data.view(), Row{0.0});
+    auto run = pool.Execute("sum", WholeBlock(data), 0, Row{0.0});
     ASSERT_TRUE(run.ok());
     EXPECT_FALSE(run->used_fallback);
     EXPECT_EQ(run->output, (Row{9.0}));
@@ -169,7 +180,7 @@ TEST_F(ChamberPoolFaultTest, ResetFaultKeepsTheAnswerButDiscardsTheWorker) {
   EXPECT_EQ(after.workers_alive, 0u);
   EXPECT_EQ(after.resets, 0u);  // the lease ended in discard, not reset
 
-  auto next = pool.Execute("sum", data.view(), Row{0.0});
+  auto next = pool.Execute("sum", WholeBlock(data), 0, Row{0.0});
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->output, (Row{9.0}));
   EXPECT_EQ(pool.Stats().respawns, 1u);

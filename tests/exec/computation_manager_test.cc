@@ -32,12 +32,13 @@ BlockSet Partition(const Dataset& data, std::size_t num_blocks) {
   return PartitionDisjointView(data, num_blocks, &rng).value();
 }
 
-// One single-row block per row of `data`, viewing its own store.
+// One single-row block per row of `data`, in row order.
 BlockSet RowBlocks(const Dataset& data) {
   BlockSet set;
-  set.store = data.store();
+  set.source = data;
   for (std::size_t i = 0; i < data.num_rows(); ++i) {
-    set.slices.push_back(BlockSlice{data.offset() + i, 1});
+    set.rows.push_back(i);
+    set.slices.push_back(BlockSlice{i, 1});
   }
   return set;
 }

@@ -72,10 +72,10 @@ TEST(ForwardingAgentTest, MessagesDoNotCrossRuns) {
 TEST(ForwardingAgentTest, VisibleThroughComputationManagerRuns) {
   ProgramFactory factory = [] { return std::make_unique<ChattyProgram>(1); };
   ComputationManager manager(nullptr, ChamberPolicy{});
-  // Two single-row blocks over the dataset's own store.
-  Dataset data = OneColumn({1, 2});
+  // Two single-row blocks, one per row of the dataset.
   BlockSet blocks;
-  blocks.store = data.store();
+  blocks.source = OneColumn({1, 2});
+  blocks.rows = {0, 1};
   blocks.slices = {BlockSlice{0, 1}, BlockSlice{1, 1}};
   auto report = manager.ExecuteOnBlocks(factory, blocks, Row{0.0});
   ASSERT_TRUE(report.ok());

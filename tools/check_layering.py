@@ -25,9 +25,9 @@ hooks (`exec.rusage`, `service.introspect.profilez`) and the /profilez
 and /slowz endpoints live in exec/ and service/ — obs stays
 failpoint-free and serves no policy. The columnar-memory subsystem
 splits the same way: the arena allocator (common/arena.h) is a plain
-bottom-layer mechanism; the zero-copy ColumnStore/DatasetView types and
-the block-gathering partitioner live in data/; the pre-warmed chamber
-pool (exec/chamber_pool.h) composes data views, obs metrics, and the
+bottom-layer mechanism; the ColumnStore/Dataset types and the
+block-gathering partitioner live in data/; the pre-warmed chamber
+pool (exec/chamber_pool.h) composes data blocks, obs metrics, and the
 testing failpoints from the exec layer; and only service/ decides
 whether a pool exists at all (it owns the ChamberPool — core holds a
 non-owning pointer and must never include service/ to get one).
